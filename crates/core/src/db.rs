@@ -1211,8 +1211,9 @@ impl DbInner {
         // here would let a concurrent GC delete the log files the
         // collected pointers reference.
 
-        // Resolve value slots; pointers fetched in parallel with readahead
-        // (scan optimization; sequential when disabled).
+        // Resolve value slots. With the scan optimization, adjacent records
+        // share one read and large batches fan out across the fetch pool;
+        // without it, one read per value on this thread.
         let mut out_values: Vec<Option<Vec<u8>>> = vec![None; slots.len()];
         let mut jobs = Vec::new();
         for (i, slot) in slots.iter().enumerate() {
@@ -1221,10 +1222,14 @@ impl DbInner {
                 SeparatedValue::Pointer(ptr) => jobs.push((i, ptr)),
             }
         }
-        let parallel = self.opts.enable_scan_optimization;
         self.metrics.scan_vlog_fetches.add(jobs.len() as u64);
-        self.fetch_pool
-            .fetch(&self.resolver, &jobs, &mut out_values, parallel, parallel)?;
+        let reads = self.fetch_pool.fetch(
+            &self.resolver,
+            &mut jobs,
+            &mut out_values,
+            self.opts.enable_scan_optimization,
+        )?;
+        self.metrics.scan_vlog_reads.add(reads);
 
         Ok(keys
             .into_iter()

@@ -5,8 +5,10 @@
 //! [`FetchPool`] is that pool: long-lived workers fed through a channel,
 //! so a scan pays no thread-spawn cost. Small batches are fetched inline —
 //! parallelism only wins once per-value read latency dominates dispatch.
+//! Either way the pointers are sorted by location first, so each run of
+//! adjacent records costs one read (`ValueResolver::read_batch`).
 
-use crate::resolver::ValueResolver;
+use crate::resolver::{sort_by_location, ValueResolver};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::sync::Arc;
 use unikv_common::metrics::{Counter, MetricsRegistry};
@@ -17,11 +19,13 @@ const MIN_PARALLEL_JOBS: usize = 64;
 /// Minimum values handed to one worker per dispatch.
 const MIN_JOBS_PER_WORKER: usize = 256;
 
+/// A worker's reply: the values it read, by index, and the reads issued.
+type Fetched = Result<(Vec<(usize, Vec<u8>)>, u64)>;
+
 struct Task {
     resolver: Arc<ValueResolver>,
     jobs: Vec<(usize, ValuePointer)>,
-    #[allow(clippy::type_complexity)]
-    reply: Sender<Result<Vec<(usize, Vec<u8>)>>>,
+    reply: Sender<Fetched>,
 }
 
 /// Dispatch counters recorded by [`FetchPool::fetch`] — how often the
@@ -30,8 +34,8 @@ struct Task {
 pub struct FetchMetrics {
     /// Batches large enough to be fanned out across pool workers.
     pub parallel_batches: Counter,
-    /// Batches fetched inline on the calling thread (small or `parallel
-    /// = false`).
+    /// Batches fetched inline on the calling thread (small, or the scan
+    /// optimization is off).
     pub inline_batches: Counter,
 }
 
@@ -66,12 +70,10 @@ impl FetchPool {
                     .spawn(move || {
                         while let Ok(task) = rx.recv() {
                             let mut out = Vec::with_capacity(task.jobs.len());
-                            let result = (|| {
-                                for (idx, ptr) in &task.jobs {
-                                    out.push((*idx, task.resolver.read(ptr)?));
-                                }
-                                Ok(std::mem::take(&mut out))
-                            })();
+                            let result = task
+                                .resolver
+                                .read_batch(&task.jobs, |idx, v| out.push((idx, v)))
+                                .map(|reads| (out, reads));
                             // A closed reply channel means the scan already
                             // failed; nothing to do.
                             let _ = task.reply.send(result);
@@ -99,36 +101,37 @@ impl FetchPool {
         self.size
     }
 
-    /// Fetch every pointer in `jobs`, writing results into `out[idx]`.
+    /// Fetch every pointer in `jobs`, writing results into `out[idx]`, and
+    /// return the number of positional reads issued.
     ///
-    /// `parallel = false` (ablation E10) fetches inline on the caller.
-    /// `readahead` issues prefetch hints before reading.
+    /// With `optimize` (the scan optimization) the jobs are sorted by
+    /// location so adjacent records share a read, and large batches fan
+    /// out across the pool. Without it (ablation E10) every value is one
+    /// read on the calling thread, in the caller's order.
     pub fn fetch(
         &self,
         resolver: &Arc<ValueResolver>,
-        jobs: &[(usize, ValuePointer)],
+        jobs: &mut [(usize, ValuePointer)],
         out: &mut [Option<Vec<u8>>],
-        parallel: bool,
-        readahead: bool,
-    ) -> Result<()> {
-        if readahead {
-            for (_, ptr) in jobs {
-                resolver.readahead(ptr);
+        optimize: bool,
+    ) -> Result<u64> {
+        let parallel = optimize && jobs.len() >= MIN_PARALLEL_JOBS;
+        if let Some(m) = &self.metrics {
+            if parallel {
+                m.parallel_batches.inc();
+            } else if !jobs.is_empty() {
+                m.inline_batches.inc();
             }
         }
-        if !parallel || jobs.len() < MIN_PARALLEL_JOBS {
-            if let Some(m) = &self.metrics {
-                if !jobs.is_empty() {
-                    m.inline_batches.inc();
-                }
-            }
-            for (idx, ptr) in jobs {
+        if !optimize {
+            for (idx, ptr) in jobs.iter() {
                 out[*idx] = Some(resolver.read(ptr)?);
             }
-            return Ok(());
+            return Ok(jobs.len() as u64);
         }
-        if let Some(m) = &self.metrics {
-            m.parallel_batches.inc();
+        sort_by_location(jobs);
+        if !parallel {
+            return resolver.read_batch(jobs, |idx, v| out[idx] = Some(v));
         }
 
         let workers = self
@@ -151,9 +154,11 @@ impl FetchPool {
         }
         drop(reply_tx);
         let mut first_err = None;
+        let mut reads = 0;
         for _ in 0..dispatched {
             match reply_rx.recv().expect("worker replies") {
-                Ok(values) => {
+                Ok((values, n)) => {
+                    reads += n;
                     for (idx, v) in values {
                         out[idx] = Some(v);
                     }
@@ -163,7 +168,7 @@ impl FetchPool {
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => Ok(reads),
         }
     }
 }
@@ -205,17 +210,32 @@ mod tests {
     #[test]
     fn inline_and_pooled_agree() {
         let (resolver, jobs, expect) = setup(500);
+        let logs = jobs
+            .iter()
+            .map(|(_, p)| p.log_number)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
         for threads in [1usize, 2, 8, 32] {
             let pool = FetchPool::new(threads);
-            for parallel in [false, true] {
+            for optimize in [false, true] {
+                let mut shuffled = jobs.clone();
+                shuffled.reverse();
                 let mut out = vec![None; jobs.len()];
-                pool.fetch(&resolver, &jobs, &mut out, parallel, parallel)
+                let reads = pool
+                    .fetch(&resolver, &mut shuffled, &mut out, optimize)
                     .unwrap();
+                if optimize {
+                    // Back-to-back records: one read per log, plus one
+                    // where the pool's two chunks split a run.
+                    assert!(reads <= logs + 1, "threads={threads} reads={reads}");
+                } else {
+                    assert_eq!(reads, jobs.len() as u64);
+                }
                 for (i, e) in expect.iter().enumerate() {
                     assert_eq!(
                         out[i].as_ref().unwrap(),
                         e,
-                        "threads={threads} parallel={parallel} i={i}"
+                        "threads={threads} optimize={optimize} i={i}"
                     );
                 }
             }
@@ -224,11 +244,11 @@ mod tests {
 
     #[test]
     fn pool_is_reusable_across_many_batches() {
-        let (resolver, jobs, _) = setup(200);
+        let (resolver, mut jobs, _) = setup(200);
         let pool = FetchPool::new(4);
         for _ in 0..50 {
             let mut out = vec![None; jobs.len()];
-            pool.fetch(&resolver, &jobs, &mut out, true, false).unwrap();
+            pool.fetch(&resolver, &mut jobs, &mut out, true).unwrap();
             assert!(out.iter().all(|o| o.is_some()));
         }
     }
@@ -238,7 +258,7 @@ mod tests {
         let (resolver, _, _) = setup(1);
         let pool = FetchPool::new(2);
         let mut out: Vec<Option<Vec<u8>>> = Vec::new();
-        pool.fetch(&resolver, &[], &mut out, true, true).unwrap();
+        assert_eq!(pool.fetch(&resolver, &mut [], &mut out, true).unwrap(), 0);
     }
 
     #[test]
@@ -247,7 +267,7 @@ mod tests {
         jobs[150].1.offset = 1 << 40;
         let pool = FetchPool::new(4);
         let mut out = vec![None; jobs.len()];
-        assert!(pool.fetch(&resolver, &jobs, &mut out, true, false).is_err());
+        assert!(pool.fetch(&resolver, &mut jobs, &mut out, true).is_err());
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub struct DbMetrics {
     pub table_io: TableIoMetrics,
     /// Values fetched from value logs during scans (pointer jobs).
     pub scan_vlog_fetches: Counter,
+    /// Positional value-log reads scans issued for those values (one per
+    /// run of adjacent records with the scan optimization on).
+    pub scan_vlog_reads: Counter,
     /// Scan fetch-pool dispatch counters (parallel vs inline batches).
     pub fetch: FetchMetrics,
     /// Batch-write latency (one sample per `write_batch` call; the ops
@@ -58,6 +61,7 @@ impl DbMetrics {
             vlog: VlogMetrics::new(&registry),
             table_io: TableIoMetrics::new(&registry),
             scan_vlog_fetches: registry.counter("scan_vlog_fetches"),
+            scan_vlog_reads: registry.counter("scan_vlog_reads"),
             fetch: FetchMetrics::new(&registry),
             batch_latency: registry.histogram("batch_latency_us"),
             batch_ops: registry.counter("batch_ops"),

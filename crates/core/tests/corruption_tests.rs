@@ -102,6 +102,32 @@ fn assert_no_silent_garbage(db: &UniKv, model: &BTreeMap<Vec<u8>, Vec<u8>>) -> u
     corrupt
 }
 
+/// Scan the whole key space in windows of every size from 1 to 64 keys:
+/// each scan returns exactly the model's items or a typed corruption
+/// error, never a wrong or missing item. Returns the failed scans.
+fn assert_scans_exact_or_corrupt(db: &UniKv, model: &BTreeMap<Vec<u8>, Vec<u8>>) -> u64 {
+    let keys: Vec<&Vec<u8>> = model.keys().collect();
+    let mut failed = 0;
+    for limit in 1..=64 {
+        for start in (0..keys.len()).step_by(limit) {
+            match db.scan(keys[start], limit) {
+                Ok(items) => {
+                    let expect: Vec<(&Vec<u8>, &Vec<u8>)> =
+                        model.range(keys[start].clone()..).take(limit).collect();
+                    let got: Vec<(&Vec<u8>, &Vec<u8>)> =
+                        items.iter().map(|it| (&it.key, &it.value)).collect();
+                    assert_eq!(got, expect, "scan from {start} limit {limit}");
+                }
+                Err(e) => {
+                    assert!(e.is_corruption(), "expected typed corruption, got: {e}");
+                    failed += 1;
+                }
+            }
+        }
+    }
+    failed
+}
+
 #[test]
 fn corrupt_meta_fails_open_with_typed_error() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());
@@ -194,6 +220,8 @@ fn corrupt_vlog_value_is_detected_never_served() {
         Ok(db) => {
             let corrupt = assert_no_silent_garbage(&db, &model);
             assert!(corrupt > 0, "damaged value log never read");
+            let failed_scans = assert_scans_exact_or_corrupt(&db, &model);
+            assert!(failed_scans > 0, "no scan read the damaged value");
         }
     }
 }

@@ -157,6 +157,37 @@ fn partial_kv_separation_stores_pointers() {
 }
 
 #[test]
+fn scan_coalesces_adjacent_value_reads() {
+    // A merge appends values in key order, so a scan over merged keys
+    // finds their records back to back and reads each run at once. With
+    // the scan optimization off every value is its own read.
+    for optimize in [true, false] {
+        let mut opts = UniKvOptions::small_for_tests();
+        opts.enable_scan_optimization = optimize;
+        let db = open(MemEnv::shared(), opts);
+        for i in 0..400u32 {
+            db.put(&key(i), &value(i, 128)).unwrap();
+        }
+        db.compact_all().unwrap();
+        db.reset_metrics();
+        let items = db.scan(&key(100), 32).unwrap();
+        assert_eq!(items.len(), 32);
+        for (j, item) in items.iter().enumerate() {
+            let i = 100 + j as u32;
+            assert_eq!((&item.key, &item.value), (&key(i), &value(i, 128)));
+        }
+        let counters = db.metrics_snapshot().counters;
+        let (fetches, reads) = (counters["scan_vlog_fetches"], counters["scan_vlog_reads"]);
+        assert_eq!(fetches, 32, "every merged value lives in a log");
+        if optimize {
+            assert!(reads < fetches, "reads {reads} vs fetches {fetches}");
+        } else {
+            assert_eq!(reads, fetches);
+        }
+    }
+}
+
+#[test]
 fn gc_reclaims_dead_values() {
     let env = MemEnv::shared();
     let db = open(env.clone(), UniKvOptions::small_for_tests());

@@ -78,9 +78,9 @@ impl RandomAccessFile for FsRandomAccess {
     }
 
     fn readahead(&self, _offset: u64, _len: usize) {
-        // Portable builds have no posix_fadvise wrapper available from std;
-        // sequential consumers get kernel readahead for free. The MemEnv
-        // models explicit readahead for the scan-optimization experiments.
+        // Portable builds have no posix_fadvise wrapper available from std,
+        // so the hint is ignored; sequential consumers get kernel readahead
+        // for free. No env in this crate acts on the hint.
         let _ = &self.path;
     }
 }

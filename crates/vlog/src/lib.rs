@@ -36,20 +36,18 @@ pub fn parse_vlog_file_name(name: &str) -> Option<u64> {
     stem.parse().ok()
 }
 
-/// Read and verify one value record at `offset` in a log file, expecting a
-/// value of `expected_len` bytes. Used both by [`ValueLog::read`] and by
-/// cross-partition pointer resolution after a split (children reading a
-/// parent's shared logs).
-pub fn read_value_record(
-    file: &dyn RandomAccessFile,
-    offset: u64,
-    expected_len: u32,
-) -> Result<Vec<u8>> {
-    // Record = varint32 len (<=5 bytes) + value + 4-byte crc.
-    let header_max = 5usize;
-    let want = header_max + expected_len as usize + 4;
-    let data = file.read_at(offset, want)?;
-    let (len, n) = get_varint32(&data)?;
+/// Bytes one record holding a `value_len`-byte value occupies in a log:
+/// length prefix, payload and CRC.
+pub fn value_record_len(value_len: u32) -> u64 {
+    varint64_length(u64::from(value_len)) as u64 + u64::from(value_len) + 4
+}
+
+/// Verify the record at the start of `data`, expecting a value of
+/// `expected_len` bytes, and return the value. Checks the length prefix
+/// against the pointer, that the record is complete, and the CRC; every
+/// value read from a log goes through here.
+pub fn decode_value_record(data: &[u8], expected_len: u32) -> Result<&[u8]> {
+    let (len, n) = get_varint32(data)?;
     if len != expected_len {
         return Err(Error::corruption(format!(
             "vlog length mismatch: pointer says {expected_len}, record says {len}"
@@ -64,9 +62,23 @@ pub fn read_value_record(
     if crc32c::unmask(stored) != crc32c::value(value) {
         return Err(Error::corruption("vlog value crc mismatch"));
     }
+    Ok(value)
+}
+
+/// Read and verify one value record at `offset` in a log file, expecting a
+/// value of `expected_len` bytes. Used both by [`ValueLog::read`] and by
+/// cross-partition pointer resolution after a split (children reading a
+/// parent's shared logs).
+pub fn read_value_record(
+    file: &dyn RandomAccessFile,
+    offset: u64,
+    expected_len: u32,
+) -> Result<Vec<u8>> {
+    let data = file.read_at(offset, value_record_len(expected_len) as usize)?;
+    let value = decode_value_record(&data, expected_len)?.to_vec();
     perf::count_vlog_fetch();
     perf::mark(PerfStage::VlogFetch);
-    Ok(value.to_vec())
+    Ok(value)
 }
 
 /// Walk every record in the value-log file at `path`, verifying framing
@@ -89,7 +101,8 @@ pub fn verify_vlog_file(env: &dyn Env, path: &Path) -> Result<u64> {
                 "vlog record at offset {offset} overruns the file"
             )));
         }
-        read_value_record(file.as_ref(), offset, len)
+        let data = file.read_at(offset, (end - offset) as usize)?;
+        decode_value_record(&data, len)
             .map_err(|e| Error::corruption(format!("vlog record at offset {offset}: {e}")))?;
         offset = end;
         records += 1;
@@ -224,7 +237,7 @@ impl ValueLog {
         }
         let active = self.active.as_mut().expect("rotated above");
         let offset = active.file.len();
-        let mut buf = Vec::with_capacity(value.len() + varint64_length(value.len() as u64) + 4);
+        let mut buf = Vec::with_capacity(value_record_len(value.len() as u32) as usize);
         put_varint32(&mut buf, value.len() as u32);
         buf.extend_from_slice(value);
         buf.extend_from_slice(&crc32c::mask(crc32c::value(value)).to_le_bytes());
@@ -269,14 +282,6 @@ impl ValueLog {
     pub fn read(&self, ptr: &ValuePointer) -> Result<Vec<u8>> {
         let reader = self.reader(ptr.log_number)?;
         read_value_record(reader.as_ref(), ptr.offset, ptr.length)
-    }
-
-    /// Issue a readahead hint covering `ptr` (scan optimization: prefetch
-    /// values before the parallel fetch, paper §Scan Optimization).
-    pub fn readahead(&self, ptr: &ValuePointer) {
-        if let Ok(reader) = self.reader(ptr.log_number) {
-            reader.readahead(ptr.offset, ptr.length as usize + 9);
-        }
     }
 
     /// Numbers of all live logs, ascending.
@@ -350,8 +355,27 @@ mod tests {
         for (v, p) in values.iter().zip(&ptrs) {
             assert_eq!(p.partition, 7);
             assert_eq!(&vl.read(p).unwrap(), v);
-            vl.readahead(p);
         }
+    }
+
+    #[test]
+    fn records_are_back_to_back() {
+        // Batched reads rely on this: within one log, a record starts
+        // exactly where the previous one ends.
+        let env = MemEnv::shared();
+        let mut vl = new_vlog(&env, 1 << 20);
+        let ptrs: Vec<ValuePointer> = [0usize, 1, 127, 128, 300, 20_000]
+            .iter()
+            .map(|&n| vl.append(&vec![7u8; n]).unwrap())
+            .collect();
+        for w in ptrs.windows(2) {
+            assert_eq!(w[1].offset, w[0].offset + value_record_len(w[0].length));
+        }
+        let last = ptrs.last().unwrap();
+        assert_eq!(
+            vl.log_size(last.log_number).unwrap(),
+            last.offset + value_record_len(last.length)
+        );
     }
 
     #[test]
