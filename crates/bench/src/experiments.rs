@@ -684,7 +684,7 @@ pub fn sensitivity(cfg: &BenchConfig) -> Result<()> {
 /// routing for small-value workloads (small KVs → classic LSM, sparing
 /// them per-entry hash-index cost; large KVs → UniKV).
 pub fn router(cfg: &BenchConfig) -> Result<()> {
-    use unikv::{SizeRouter, SizeRouterOptions};
+    use unikv_suite::{SizeRouter, SizeRouterOptions};
     let mut t = Table::new(
         "E15 size-routed store vs plain UniKV on small values",
         &["load KOPS", "read KOPS", "index KB"],

@@ -24,16 +24,11 @@
 //! offline) for the persistent `EVENTS` journal, which is itself just a
 //! listener.
 
+use crate::clock::{Clock, ClockFn};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use std::time::Instant;
-
-/// Injectable clock for event timestamps (microseconds, arbitrary
-/// monotonic origin). Kept separate from the metrics clock on purpose:
-/// publishing an event must not advance a manual metrics clock.
-pub type EventClock = Arc<dyn Fn() -> u64 + Send + Sync>;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// What happened. Start/finish/abort triples cover every structural op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -458,9 +453,9 @@ pub struct EventBus {
     listeners: Vec<Arc<dyn EventListener>>,
     next_seq: AtomicU64,
     listener_panics: AtomicU64,
-    origin: Instant,
-    has_manual_clock: AtomicBool,
-    clock: RwLock<Option<EventClock>>,
+    /// Stamps `at_micros`. Its own instance, never the metrics clock:
+    /// publishing an event must not advance a manual metrics clock.
+    clock: Clock,
 }
 
 impl EventBus {
@@ -471,9 +466,7 @@ impl EventBus {
             listeners,
             next_seq: AtomicU64::new(first_seq),
             listener_panics: AtomicU64::new(0),
-            origin: Instant::now(),
-            has_manual_clock: AtomicBool::new(false),
-            clock: RwLock::new(None),
+            clock: Clock::default(),
         })
     }
 
@@ -488,26 +481,10 @@ impl EventBus {
         self.listener_panics.load(Ordering::Relaxed)
     }
 
-    /// Install a manual event clock (or restore the real one with `None`).
-    pub fn set_clock(&self, clock: Option<EventClock>) {
-        let mut guard = self.clock.write().expect("event clock lock poisoned");
-        self.has_manual_clock
-            .store(clock.is_some(), Ordering::Release);
-        *guard = clock;
-    }
-
-    fn now_micros(&self) -> u64 {
-        if self.has_manual_clock.load(Ordering::Acquire) {
-            if let Some(clock) = self
-                .clock
-                .read()
-                .expect("event clock lock poisoned")
-                .as_ref()
-            {
-                return clock();
-            }
-        }
-        self.origin.elapsed().as_micros() as u64
+    /// Install a manual event clock (microseconds, arbitrary monotonic
+    /// origin) or restore the real one with `None`.
+    pub fn set_clock(&self, clock: Option<ClockFn>) {
+        self.clock.set(clock);
     }
 
     /// Publish an event: assign the next seq, stamp the time, dispatch to
@@ -530,7 +507,7 @@ impl EventBus {
         }
         let event = Event {
             seq,
-            at_micros: self.now_micros(),
+            at_micros: self.clock.now_micros(),
             kind,
             partition,
             cause,

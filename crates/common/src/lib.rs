@@ -9,6 +9,7 @@
 //! Nothing in here performs I/O; it is pure, allocation-conscious code with
 //! property-tested round-trips.
 
+pub mod clock;
 pub mod coding;
 pub mod crc32c;
 pub mod error;
@@ -21,7 +22,17 @@ pub mod perf;
 pub mod pointer;
 pub mod rng;
 
+pub use clock::{Clock, ClockFn};
 pub use error::{Error, Result};
 pub use ikey::{InternalKey, SequenceNumber, ValueType, MAX_SEQUENCE_NUMBER};
 pub use keyrange::KeyRange;
 pub use pointer::ValuePointer;
+
+/// One scan result, as every engine in the workspace returns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanItem {
+    /// User key.
+    pub key: Vec<u8>,
+    /// Value.
+    pub value: Vec<u8>,
+}

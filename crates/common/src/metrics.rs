@@ -19,15 +19,11 @@
 //! histograms), so per-partition or per-engine registries can be folded
 //! into one report.
 
+use crate::clock::{Clock, ClockFn};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
-
-/// Injectable clock: returns a monotonic timestamp in **microseconds**
-/// from an arbitrary origin. Mirrors `MaintClock` in the core crate.
-pub type MetricsClock = Arc<dyn Fn() -> u64 + Send + Sync>;
+use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets. Bucket 0 holds the value `0`; bucket `i`
 /// (for `1 <= i < HISTOGRAM_BUCKETS-1`) holds values in `[2^(i-1), 2^i - 1]`;
@@ -521,9 +517,7 @@ enum Family {
 /// hot paths are lock-free.
 pub struct MetricsRegistry {
     enabled: Arc<AtomicBool>,
-    origin: Instant,
-    has_manual_clock: AtomicBool,
-    clock: RwLock<Option<MetricsClock>>,
+    clock: Clock,
     families: Mutex<BTreeMap<String, Family>>,
     trace: TraceRing,
 }
@@ -534,9 +528,7 @@ impl MetricsRegistry {
     pub fn new(enabled: bool, trace_capacity: usize) -> Arc<MetricsRegistry> {
         Arc::new(MetricsRegistry {
             enabled: Arc::new(AtomicBool::new(enabled)),
-            origin: Instant::now(),
-            has_manual_clock: AtomicBool::new(false),
-            clock: RwLock::new(None),
+            clock: Clock::default(),
             families: Mutex::new(BTreeMap::new()),
             trace: TraceRing::new(trace_capacity),
         })
@@ -555,23 +547,15 @@ impl MetricsRegistry {
         if !self.enabled.load(Ordering::Relaxed) {
             return 0;
         }
-        if self.has_manual_clock.load(Ordering::Acquire) {
-            if let Some(clock) = self.clock.read().expect("clock lock poisoned").as_ref() {
-                return clock();
-            }
-        }
-        self.origin.elapsed().as_micros() as u64
+        self.clock.now_micros()
     }
 
     /// Install a manual clock (microseconds, arbitrary monotonic origin)
     /// or restore the real clock with `None`. The determinism contract:
     /// every timed operation reads the clock exactly twice, so a clock
     /// advancing a fixed step per reading yields exact durations.
-    pub fn set_clock(&self, clock: Option<MetricsClock>) {
-        let mut guard = self.clock.write().expect("clock lock poisoned");
-        self.has_manual_clock
-            .store(clock.is_some(), Ordering::Release);
-        *guard = clock;
+    pub fn set_clock(&self, clock: Option<ClockFn>) {
+        self.clock.set(clock);
     }
 
     /// Register (or fetch) a counter family.
@@ -795,7 +779,7 @@ impl EngineMetrics {
 /// Build a manual clock for tests: every reading advances by `step_us`
 /// and returns the advanced value, so an operation that reads the clock
 /// twice observes a duration of exactly `step_us`.
-pub fn manual_step_clock(step_us: u64) -> MetricsClock {
+pub fn manual_step_clock(step_us: u64) -> ClockFn {
     let ticks = AtomicU64::new(0);
     Arc::new(move || ticks.fetch_add(step_us, Ordering::Relaxed) + step_us)
 }

@@ -25,8 +25,8 @@ use crate::batch::{decode_batch_record, encode_batch_record, WriteBatch};
 use crate::fetch::FetchPool;
 use crate::journal::EventJournal;
 use crate::maintenance::{
-    stall_level, worker_loop, HealthReport, HealthState, Job, JobKind, MaintClock, MaintState,
-    RetryConfig, StallLevel, SyncPoints,
+    stall_level, worker_loop, HealthReport, HealthState, Job, JobKind, MaintState, RetryConfig,
+    StallLevel, SyncPoints,
 };
 use crate::meta::{DbMeta, LogRef, PartitionMeta, TableMeta};
 use crate::metrics::DbMetrics;
@@ -42,22 +42,21 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unikv_common::events::{EventBus, EventClock, EventKind, EventListener};
+use unikv_common::events::{EventBus, EventKind, EventListener};
 use unikv_common::ikey::{
     extract_seq_type, extract_user_key, make_internal_key, SequenceNumber, ValueType,
 };
-use unikv_common::metrics::{MetricsClock, MetricsSnapshot, TraceEvent, TraceOp, TraceOutcome};
+use unikv_common::metrics::{MetricsSnapshot, TraceEvent, TraceOp, TraceOutcome};
 use unikv_common::perf::{self, PerfContext, PerfStage};
 use unikv_common::pointer::SeparatedValue;
-use unikv_common::{Error, Result};
+use unikv_common::{ClockFn, Error, Result, ScanItem};
 use unikv_env::Env;
 use unikv_hashindex::TwoLevelHashIndex;
-use unikv_lsm::db::ScanItem;
-use unikv_lsm::filenames;
-use unikv_lsm::iter::{
+use unikv_memtable::{LookupResult, MemTable};
+use unikv_sstable::filenames;
+use unikv_sstable::iter::{
     ConcatSource, InternalIterator, MemTableSource, MergingIterator, TableSource,
 };
-use unikv_memtable::{LookupResult, MemTable};
 use unikv_sstable::{BlockCache, Table, TableBuilder, TableBuilderOptions, TableOptions};
 use unikv_vlog::{parse_vlog_file_name, vlog_file_name, ValueLog};
 use unikv_wal::{LogReader, LogWriter, ReadOutcome};
@@ -301,10 +300,11 @@ impl DbCore {
     }
 }
 
-/// Engine state shared between the public handle and the maintenance
-/// worker threads. All database logic lives here; [`UniKv`] is a thin
-/// wrapper that owns the workers' join handles.
-pub(crate) struct DbInner {
+/// The database engine: all state and every operation. A [`UniKv`]
+/// handle dereferences to it, so `db.get(..)`, `db.stats()` and the rest
+/// are methods of this type; the handle itself only opens the database
+/// and owns the maintenance workers, which share this state via `Arc`.
+pub struct DbInner {
     pub(crate) env: Arc<dyn Env>,
     root: PathBuf,
     pub(crate) opts: UniKvOptions,
@@ -440,6 +440,7 @@ impl DbInner {
                 RetryConfig::from_options(&opts),
                 stats.clone(),
                 events.clone(),
+                metrics.maint_queue_depth.clone(),
             ),
             opts,
             topts,
@@ -524,6 +525,114 @@ impl DbInner {
         self.core.read().last_seq
     }
 
+    /// The named sync-point registry for crash testing: arm a hook to
+    /// observe (or abort, by returning `Err`) structural operations at
+    /// any of the [`crate::maintenance::SYNC_POINTS`]. An abort models a
+    /// crash at that step — drop the database and reopen to exercise
+    /// recovery.
+    pub fn sync_points(&self) -> &crate::maintenance::SyncPoints {
+        &self.sync
+    }
+
+    /// Block until the maintenance queue is empty and no job is running.
+    /// Returns immediately in inline mode or after a background failure.
+    pub fn wait_for_background(&self) {
+        self.maint.wait_idle();
+    }
+
+    /// The fatal background-maintenance error that poisoned this
+    /// database, if any. Once set, writes and structural operations fail
+    /// with this error; reads keep working.
+    pub fn background_error(&self) -> Option<String> {
+        self.maint.poison_message()
+    }
+
+    /// Current health state (see [`HealthState`] for the transitions).
+    /// Lock-free; always `Healthy` in inline mode.
+    pub fn health(&self) -> HealthState {
+        self.maint.health_state()
+    }
+
+    /// Detailed health snapshot: state, jobs retrying, quarantined jobs
+    /// with their reasons, and the poison message if any.
+    pub fn health_report(&self) -> HealthReport {
+        self.maint.health_report()
+    }
+
+    /// Replace the maintenance scheduler's clock (milliseconds, arbitrary
+    /// monotonic origin), or restore the real clock with `None`. Backoff
+    /// deadlines and quarantine probes are evaluated against it — a test
+    /// or simulation hook so retry schedules elapse without sleeping.
+    pub fn set_maintenance_clock(&self, clock: Option<ClockFn>) {
+        self.maint.set_clock(clock);
+    }
+
+    /// The database's metric bundle: registry plus every typed handle.
+    pub fn metrics(&self) -> &DbMetrics {
+        &self.metrics
+    }
+
+    /// The lifecycle event bus this database publishes on. Exposed for
+    /// tests and tooling that want the next seq or panic counters; new
+    /// listeners must be registered via [`UniKvOptions::listeners`]
+    /// *before* open so no event is missed.
+    pub fn event_bus(&self) -> &Arc<EventBus> {
+        &self.events
+    }
+
+    /// Listener panics caught (and swallowed) so far.
+    pub fn listener_panics(&self) -> u64 {
+        self.events.listener_panics()
+    }
+
+    /// Event-journal health: `(events_written, write_errors)` since open,
+    /// or `None` when the journal is disabled or failed to open.
+    pub fn event_journal_stats(&self) -> Option<(u64, u64)> {
+        self.journal
+            .as_ref()
+            .map(|j| (j.events_written(), j.write_errors()))
+    }
+
+    /// Replace the event bus clock (microseconds, arbitrary monotonic
+    /// origin) used to stamp `at_micros` on published events, or restore
+    /// the real clock with `None`. Deliberately separate from the metrics
+    /// clock: publishing an event must never advance a manual metrics
+    /// clock mid-operation.
+    pub fn set_event_clock(&self, clock: Option<ClockFn>) {
+        self.events.set_clock(clock);
+    }
+
+    /// Human-readable metrics report: every counter, gauge, and latency
+    /// histogram (count/p50/p95/p99/max) plus the tail of the op trace.
+    pub fn metrics_report(&self) -> String {
+        self.metrics.report_text()
+    }
+
+    /// Machine-readable metrics report (tab-separated, one family per
+    /// line; histograms include their full bucket vector).
+    pub fn metrics_report_machine(&self) -> String {
+        self.metrics.report_machine()
+    }
+
+    /// Snapshot every metric family (mergeable across databases/engines).
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// Replace the metrics clock (microseconds, arbitrary monotonic
+    /// origin), or restore the real clock with `None`. Tests install
+    /// [`unikv_common::metrics::manual_step_clock`] to make latency
+    /// histograms exactly reproducible.
+    pub fn set_metrics_clock(&self, clock: Option<ClockFn>) {
+        self.metrics.registry.set_clock(clock);
+    }
+
+    /// Zero every metric and clear the op trace; registered families
+    /// remain enumerable.
+    pub fn reset_metrics(&self) {
+        self.metrics.registry.reset();
+    }
+
     /// Insert or update `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.write(key, value, ValueType::Value)
@@ -534,7 +643,8 @@ impl DbInner {
         self.write(key, b"", ValueType::Deletion)
     }
 
-    /// Insert or update `key`, returning a per-operation stage profile.
+    /// Insert or update `key`, returning a per-operation stage profile
+    /// (stall wait, router, WAL append/sync, memtable).
     pub fn put_profiled(&self, key: &[u8], value: &[u8]) -> Result<PerfContext> {
         self.write_observed(key, value, ValueType::Value, true)
     }
@@ -712,7 +822,8 @@ impl DbInner {
         Ok(())
     }
 
-    /// Force all memtables to disk.
+    /// Force all memtables (active and sealed) to disk. In background
+    /// mode this quiesces the workers first, so it is a true barrier.
     pub fn flush(&self) -> Result<()> {
         let _pause = self.pause_maintenance()?;
         let mut core = self.core.write();
@@ -774,12 +885,8 @@ impl DbInner {
         if self.opts.background_jobs == 0 {
             return;
         }
-        if let Some(depth) = self.maint.schedule(Job { kind, partition }) {
+        if self.maint.schedule(Job { kind, partition }) {
             UniKvStats::add(&self.stats.maint_jobs_scheduled, 1);
-            self.stats
-                .maint_queue_depth
-                .store(depth as u64, Ordering::Relaxed);
-            self.metrics.maint_queue_depth.set(depth as u64);
         }
     }
 
@@ -942,9 +1049,10 @@ impl DbInner {
         self.get_observed(key, false).map(|(v, _)| v)
     }
 
-    /// Point lookup returning a per-operation stage profile alongside the
-    /// value. The profile's `total_micros` equals the latency recorded in
-    /// the `get` histogram for this very call.
+    /// Point lookup with a per-operation stage profile (router, memtable,
+    /// index probes, boundary search, block reads, vlog fetch…). The
+    /// profile's `total_micros` equals the sum of its stages and the
+    /// latency recorded in the `get` histogram for this call.
     pub fn get_profiled(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, PerfContext)> {
         self.get_observed(key, true)
     }
@@ -2825,7 +2933,8 @@ impl DbInner {
 /// The UniKV database handle.
 ///
 /// Owns the engine state (shared with maintenance worker threads via
-/// `Arc`) and the worker join handles. With `background_jobs = 0` (the
+/// `Arc`) and the worker join handles. Every database operation is a
+/// method of [`DbInner`], reached through `Deref`. With `background_jobs = 0` (the
 /// default) no threads are spawned and every structural operation runs
 /// inline, exactly as in previous versions. Dropping the handle asks the
 /// workers to finish their current job and joins them; jobs still queued
@@ -2851,228 +2960,13 @@ impl UniKv {
             .collect();
         Ok(UniKv { inner, workers })
     }
+}
 
-    /// Counters.
-    pub fn stats(&self) -> &UniKvStats {
-        self.inner.stats()
-    }
+impl std::ops::Deref for UniKv {
+    type Target = DbInner;
 
-    /// The named sync-point registry for crash testing: arm a hook to
-    /// observe (or abort, by returning `Err`) structural operations at
-    /// any of the [`crate::maintenance::SYNC_POINTS`]. An abort models a
-    /// crash at that step — drop the database and reopen to exercise
-    /// recovery.
-    pub fn sync_points(&self) -> &crate::maintenance::SyncPoints {
-        &self.inner.sync
-    }
-
-    /// Options this database was opened with.
-    pub fn options(&self) -> &UniKvOptions {
-        self.inner.options()
-    }
-
-    /// Number of partitions (grows via dynamic range partitioning).
-    pub fn partition_count(&self) -> usize {
-        self.inner.partition_count()
-    }
-
-    /// The current partition boundary keys (`lo` of each partition).
-    pub fn partition_boundaries(&self) -> Vec<Vec<u8>> {
-        self.inner.partition_boundaries()
-    }
-
-    /// Total bytes of in-memory hash-index entries across partitions
-    /// (experiment E12).
-    pub fn index_memory_bytes(&self) -> usize {
-        self.inner.index_memory_bytes()
-    }
-
-    /// Total logical bytes stored (tables + live values).
-    pub fn logical_bytes(&self) -> u64 {
-        self.inner.logical_bytes()
-    }
-
-    /// Last committed sequence number.
-    pub fn last_sequence(&self) -> SequenceNumber {
-        self.inner.last_sequence()
-    }
-
-    /// Insert or update `key`.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.inner.put(key, value)
-    }
-
-    /// Delete `key`.
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.inner.delete(key)
-    }
-
-    /// Apply `batch` atomically (see [`WriteBatch`]).
-    pub fn write_batch(&self, batch: &WriteBatch) -> Result<()> {
-        self.inner.write_batch(batch)
-    }
-
-    /// Force all memtables (active and sealed) to disk. In background
-    /// mode this quiesces the workers first, so it is a true barrier.
-    pub fn flush(&self) -> Result<()> {
-        self.inner.flush()
-    }
-
-    /// Force a full merge (UnsortedStore → SortedStore) in every partition.
-    pub fn compact_all(&self) -> Result<()> {
-        self.inner.compact_all()
-    }
-
-    /// Run GC on every partition regardless of the garbage ratio
-    /// (test/maintenance hook).
-    pub fn force_gc(&self) -> Result<()> {
-        self.inner.force_gc()
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.get(key)
-    }
-
-    /// Point lookup with a per-operation stage profile (router, memtable,
-    /// index probes, boundary search, block reads, vlog fetch…). The
-    /// profile's `total_micros` equals the sum of its stages and the
-    /// latency recorded in the `get` histogram for this call.
-    pub fn get_profiled(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, PerfContext)> {
-        self.inner.get_profiled(key)
-    }
-
-    /// Insert or update `key`, returning a per-operation stage profile
-    /// (stall wait, router, WAL append/sync, memtable).
-    pub fn put_profiled(&self, key: &[u8], value: &[u8]) -> Result<PerfContext> {
-        self.inner.put_profiled(key, value)
-    }
-
-    /// Delete `key`, returning a per-operation stage profile.
-    pub fn delete_profiled(&self, key: &[u8]) -> Result<PerfContext> {
-        self.inner.delete_profiled(key)
-    }
-
-    /// Range scan: up to `limit` live entries with `key >= from`.
-    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.inner.scan(from, limit)
-    }
-
-    /// Range scan bounded above: up to `limit` live entries with
-    /// `from <= key < end` (`end = None` means unbounded).
-    pub fn scan_range(
-        &self,
-        from: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<ScanItem>> {
-        self.inner.scan_range(from, end, limit)
-    }
-
-    /// A streaming iterator over the whole database at the current
-    /// sequence number — the paper's seek()/next() scan interface.
-    pub fn iter(&self) -> Result<crate::iter::UniKvIterator> {
-        self.inner.iter()
-    }
-
-    /// Block until the maintenance queue is empty and no job is running.
-    /// Returns immediately in inline mode or after a background failure.
-    pub fn wait_for_background(&self) {
-        self.inner.maint.wait_idle();
-    }
-
-    /// The fatal background-maintenance error that poisoned this
-    /// database, if any. Once set, writes and structural operations fail
-    /// with this error; reads keep working.
-    pub fn background_error(&self) -> Option<String> {
-        self.inner.maint.poison_message()
-    }
-
-    /// Current health state (see [`HealthState`] for the transitions).
-    /// Lock-free; always `Healthy` in inline mode.
-    pub fn health(&self) -> HealthState {
-        self.inner.maint.health_state()
-    }
-
-    /// Detailed health snapshot: state, jobs retrying, quarantined jobs
-    /// with their reasons, and the poison message if any.
-    pub fn health_report(&self) -> HealthReport {
-        self.inner.maint.health_report()
-    }
-
-    /// Replace the maintenance scheduler's clock (milliseconds, arbitrary
-    /// monotonic origin), or restore the real clock with `None`. Backoff
-    /// deadlines and quarantine probes are evaluated against it — a test
-    /// or simulation hook so retry schedules elapse without sleeping.
-    pub fn set_maintenance_clock(&self, clock: Option<MaintClock>) {
-        self.inner.maint.set_clock(clock);
-    }
-
-    /// The database's metric bundle: registry plus every typed handle.
-    pub fn metrics(&self) -> &DbMetrics {
-        &self.inner.metrics
-    }
-
-    /// The lifecycle event bus this database publishes on. Exposed for
-    /// tests and tooling that want the next seq or panic counters; new
-    /// listeners must be registered via [`UniKvOptions::listeners`]
-    /// *before* open so no event is missed.
-    pub fn event_bus(&self) -> &Arc<EventBus> {
-        &self.inner.events
-    }
-
-    /// Listener panics caught (and swallowed) so far.
-    pub fn listener_panics(&self) -> u64 {
-        self.inner.events.listener_panics()
-    }
-
-    /// Event-journal health: `(events_written, write_errors)` since open,
-    /// or `None` when the journal is disabled or failed to open.
-    pub fn event_journal_stats(&self) -> Option<(u64, u64)> {
-        self.inner
-            .journal
-            .as_ref()
-            .map(|j| (j.events_written(), j.write_errors()))
-    }
-
-    /// Replace the event bus clock (microseconds, arbitrary monotonic
-    /// origin) used to stamp `at_micros` on published events, or restore
-    /// the real clock with `None`. Deliberately separate from the metrics
-    /// clock: publishing an event must never advance a manual metrics
-    /// clock mid-operation.
-    pub fn set_event_clock(&self, clock: Option<EventClock>) {
-        self.inner.events.set_clock(clock);
-    }
-
-    /// Human-readable metrics report: every counter, gauge, and latency
-    /// histogram (count/p50/p95/p99/max) plus the tail of the op trace.
-    pub fn metrics_report(&self) -> String {
-        self.inner.metrics.report_text()
-    }
-
-    /// Machine-readable metrics report (tab-separated, one family per
-    /// line; histograms include their full bucket vector).
-    pub fn metrics_report_machine(&self) -> String {
-        self.inner.metrics.report_machine()
-    }
-
-    /// Snapshot every metric family (mergeable across databases/engines).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
-    }
-
-    /// Replace the metrics clock (microseconds, arbitrary monotonic
-    /// origin), or restore the real clock with `None`. Tests install
-    /// [`unikv_common::metrics::manual_step_clock`] to make latency
-    /// histograms exactly reproducible.
-    pub fn set_metrics_clock(&self, clock: Option<MetricsClock>) {
-        self.inner.metrics.registry.set_clock(clock);
-    }
-
-    /// Zero every metric and clear the op trace; registered families
-    /// remain enumerable.
-    pub fn reset_metrics(&self) {
-        self.inner.metrics.registry.reset();
+    fn deref(&self) -> &DbInner {
+        &self.inner
     }
 }
 

@@ -16,7 +16,7 @@ use unikv_common::ikey::{
 use unikv_common::pointer::SeparatedValue;
 use unikv_common::Result;
 use unikv_env::RandomAccessFile;
-use unikv_lsm::iter::{InternalIterator, MergingIterator};
+use unikv_sstable::iter::{InternalIterator, MergingIterator};
 use unikv_vlog::read_value_record;
 
 /// One partition's slice of the snapshot.

@@ -46,28 +46,25 @@ pub mod metrics;
 pub mod options;
 pub mod partition;
 pub mod resolver;
-pub mod router;
 pub mod verify;
 
 pub use batch::WriteBatch;
-pub use db::{UniKv, UniKvStats};
+pub use db::{DbInner, UniKv, UniKvStats};
 pub use fetch::{FetchMetrics, FetchPool};
 pub use iter::UniKvIterator;
 pub use journal::{read_events, EventJournal, EVENTS_FILE, EVENTS_OLD_FILE};
 pub use maintenance::{
-    backoff_delay_ms, HealthReport, HealthState, Job, JobKind, MaintClock, QuarantinedJob,
-    SyncPointHook, SyncPoints, SYNC_POINTS,
+    backoff_delay_ms, HealthReport, HealthState, Job, JobKind, QuarantinedJob, SyncPointHook,
+    SyncPoints, SYNC_POINTS,
 };
 pub use metrics::DbMetrics;
 pub use options::UniKvOptions;
-pub use router::{SizeRouter, SizeRouterOptions};
 pub use unikv_common::events::{
-    causal_chain, Event, EventBus, EventClock, EventKind, EventListener, Listeners,
+    causal_chain, Event, EventBus, EventKind, EventListener, Listeners,
 };
 pub use unikv_common::metrics::{
-    manual_step_clock, MetricsClock, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceOp,
-    TraceOutcome,
+    manual_step_clock, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceOp, TraceOutcome,
 };
 pub use unikv_common::perf::{PerfContext, PerfStage, PERF_STAGE_COUNT};
-pub use unikv_lsm::db::ScanItem;
+pub use unikv_common::{ClockFn, ScanItem};
 pub use verify::{verify_db, FileDamage, VerifyReport};

@@ -48,7 +48,7 @@
 //! ## Health state machine
 //!
 //! `Healthy → Degraded → ReadOnly → Poisoned`, surfaced via
-//! [`crate::UniKv::health`] and recomputed from the queue on every job
+//! [`crate::DbInner::health`] and recomputed from the queue on every job
 //! completion, so recovery is automatic:
 //!
 //! * **Degraded** — at least one job is retrying or quarantined. Writes
@@ -71,10 +71,11 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use unikv_common::events::{EventBus, EventKind};
+use unikv_common::metrics::Gauge;
 use unikv_common::rng::splitmix64_mix;
-use unikv_common::{Error, Result};
+use unikv_common::{Clock, ClockFn, Error, Result};
 
 /// Every named sync point in the flush/merge/GC/split commit sequences,
 /// in rough execution order. Each structural operation calls
@@ -205,7 +206,7 @@ impl HealthState {
 }
 
 /// A maintenance job parked after exhausting its retry budget or failing
-/// permanently (introspection view, see [`crate::UniKv::health_report`]).
+/// permanently (introspection view, see [`crate::DbInner::health_report`]).
 #[derive(Debug, Clone)]
 pub struct QuarantinedJob {
     /// The job's kind.
@@ -216,7 +217,7 @@ pub struct QuarantinedJob {
     pub reason: String,
 }
 
-/// Snapshot of the health machinery (see [`crate::UniKv::health_report`]).
+/// Snapshot of the health machinery (see [`crate::DbInner::health_report`]).
 #[derive(Debug, Clone)]
 pub struct HealthReport {
     /// Current health state.
@@ -228,11 +229,6 @@ pub struct HealthReport {
     /// The fatal error message, when [`HealthState::Poisoned`].
     pub background_error: Option<String>,
 }
-
-/// Injectable time source for the retry scheduler: returns milliseconds
-/// on an arbitrary monotonic scale. Tests install one so backoff and
-/// quarantine probes elapse without real sleeping.
-pub type MaintClock = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Retry/backoff policy knobs, derived from [`UniKvOptions`].
 #[derive(Debug, Clone)]
@@ -385,6 +381,8 @@ struct HealthMeta {
 pub(crate) struct MaintState {
     cfg: RetryConfig,
     stats: Arc<UniKvStats>,
+    /// Registry mirror of `stats.maint_queue_depth`.
+    queue_depth: Gauge,
     /// Lifecycle event bus: health transitions, retries, and quarantines
     /// publish here so causal chains include degradation episodes.
     events: Arc<EventBus>,
@@ -405,10 +403,9 @@ pub(crate) struct MaintState {
     /// Lock-free mirror of `health_meta.state` for the hot write path.
     health: AtomicU8,
     health_meta: Mutex<HealthMeta>,
-    /// Origin of the default scheduler clock.
-    epoch: Instant,
-    /// Test override for the scheduler clock (see [`MaintClock`]).
-    clock: RwLock<Option<MaintClock>>,
+    /// Scheduler clock in milliseconds. Tests override it so backoff and
+    /// quarantine probes elapse without real sleeping.
+    clock: Clock,
 }
 
 impl MaintState {
@@ -416,10 +413,12 @@ impl MaintState {
         cfg: RetryConfig,
         stats: Arc<UniKvStats>,
         events: Arc<EventBus>,
+        queue_depth: Gauge,
     ) -> MaintState {
         MaintState {
             cfg,
             stats,
+            queue_depth,
             events,
             queue: Mutex::new(QueueState {
                 jobs: Vec::new(),
@@ -439,36 +438,40 @@ impl MaintState {
                 state: HealthState::Healthy,
                 unhealthy_since_ms: 0,
             }),
-            epoch: Instant::now(),
-            clock: RwLock::new(None),
+            clock: Clock::default(),
         }
     }
 
     /// Scheduler time in milliseconds (monotonic, arbitrary origin).
     fn now_ms(&self) -> u64 {
-        if let Some(clock) = self.clock.read().as_ref() {
-            return clock();
-        }
-        self.epoch.elapsed().as_millis() as u64
+        self.clock.now_millis()
     }
 
-    /// Install (or clear) a test clock; backoff deadlines and quarantine
-    /// probes are evaluated against it.
-    pub(crate) fn set_clock(&self, clock: Option<MaintClock>) {
-        *self.clock.write() = clock;
+    /// Install (or clear) a test clock returning milliseconds; backoff
+    /// deadlines and quarantine probes are evaluated against it.
+    pub(crate) fn set_clock(&self, clock: Option<ClockFn>) {
+        self.clock.set(clock);
         self.work_cv.notify_all();
+    }
+
+    /// Publish the queue depth to the stats field and the registry gauge.
+    fn record_depth(&self, depth: usize) {
+        self.stats
+            .maint_queue_depth
+            .store(depth as u64, Ordering::Relaxed);
+        self.queue_depth.set(depth as u64);
     }
 
     /// Enqueue `job` unless an identical one is already pending,
     /// quarantined (its probe owns the retry), or the database is shut
-    /// down / poisoned. Returns the new queue depth when enqueued.
-    pub(crate) fn schedule(&self, job: Job) -> Option<usize> {
+    /// down / poisoned. Returns true when enqueued.
+    pub(crate) fn schedule(&self, job: Job) -> bool {
         if self.shutdown.load(Ordering::Acquire) || self.poison_flag.load(Ordering::Acquire) {
-            return None;
+            return false;
         }
         let mut q = self.queue.lock();
         if q.jobs.iter().any(|p| p.job == job) || q.quarantined.contains_key(&job) {
-            return None;
+            return false;
         }
         let now = self.now_ms();
         q.jobs.push(PendingJob {
@@ -477,17 +480,17 @@ impl MaintState {
             ready_at_ms: now,
             storage_full: false,
         });
-        let depth = q.jobs.len();
+        self.record_depth(q.jobs.len());
         drop(q);
         self.work_cv.notify_one();
-        Some(depth)
+        true
     }
 
     /// Block until a runnable job is available — returned with its failed
-    /// attempt count and the queue depth after removal — or shutdown is
-    /// requested (`None`). Shutdown interrupts backoff waits immediately:
-    /// jobs still in backoff are abandoned like any other queued job.
-    pub(crate) fn next_job(&self) -> Option<(Job, u32, usize)> {
+    /// attempt count — or shutdown is requested (`None`). Shutdown
+    /// interrupts backoff waits immediately: jobs still in backoff are
+    /// abandoned like any other queued job.
+    pub(crate) fn next_job(&self) -> Option<(Job, u32)> {
         let mut q = self.queue.lock();
         loop {
             if self.shutdown.load(Ordering::Acquire) {
@@ -543,7 +546,8 @@ impl MaintState {
                             storage_full: p.storage_full,
                         },
                     );
-                    return Some((p.job, p.attempts, q.jobs.len()));
+                    self.record_depth(q.jobs.len());
+                    return Some((p.job, p.attempts));
                 }
             }
             if q.jobs.is_empty() && q.quarantined.is_empty() {
@@ -600,7 +604,6 @@ impl MaintState {
                 self.cfg.jitter_seed,
                 &job,
             );
-            UniKvStats::add(&self.stats.maint_job_retries, 1);
             let detail = if self.events.has_listeners() {
                 format!("{:?} attempt {next_attempt}: {err}", job.kind)
             } else {
@@ -616,17 +619,30 @@ impl MaintState {
                 detail,
             );
             let mut q = self.queue.lock();
-            if !q.jobs.iter().any(|p| p.job == job) {
-                q.jobs.push(PendingJob {
+            let ready_at_ms = self.now_ms() + delay;
+            let storage_full = err.is_storage_full();
+            // A copy scheduled while this attempt ran is the same work: it
+            // takes over the retry provenance instead of running at once,
+            // so a failure always enters backoff (and Degraded).
+            match q.jobs.iter_mut().find(|p| p.job == job) {
+                Some(p) => {
+                    p.attempts = p.attempts.max(next_attempt);
+                    p.ready_at_ms = p.ready_at_ms.max(ready_at_ms);
+                    p.storage_full |= storage_full;
+                }
+                None => q.jobs.push(PendingJob {
                     job,
                     attempts: next_attempt,
-                    ready_at_ms: self.now_ms() + delay,
-                    storage_full: err.is_storage_full(),
-                });
+                    ready_at_ms,
+                    storage_full,
+                }),
             }
             let target = health_target(&q);
             drop(q);
             self.settle_health(target);
+            // Counted only now, so no reader sees the retry before the
+            // health state it implies.
+            UniKvStats::add(&self.stats.maint_job_retries, 1);
             self.work_cv.notify_all();
         } else {
             let mut q = self.queue.lock();
@@ -641,7 +657,6 @@ impl MaintState {
             let target = health_target(&q);
             drop(q);
             if newly {
-                UniKvStats::add(&self.stats.maint_jobs_quarantined, 1);
                 let detail = if self.events.has_listeners() {
                     format!("{:?}: {err}", job.kind)
                 } else {
@@ -658,6 +673,9 @@ impl MaintState {
                 );
             }
             self.settle_health(target);
+            if newly {
+                UniKvStats::add(&self.stats.maint_jobs_quarantined, 1);
+            }
             self.idle_cv.notify_all();
         }
     }
@@ -717,7 +735,7 @@ impl MaintState {
             || q.inflight.get(&partition).is_some_and(|r| r.attempts > 0)
     }
 
-    /// Snapshot for [`crate::UniKv::health_report`].
+    /// Snapshot for [`crate::DbInner::health_report`].
     pub(crate) fn health_report(&self) -> HealthReport {
         let q = self.queue.lock();
         let retrying = q.jobs.iter().filter(|p| p.attempts > 0).count()
@@ -897,12 +915,7 @@ impl Drop for PauseGuard<'_> {
 
 /// Body of one maintenance worker thread.
 pub(crate) fn worker_loop(inner: Arc<DbInner>) {
-    while let Some((job, attempts, depth)) = inner.maint.next_job() {
-        inner
-            .stats
-            .maint_queue_depth
-            .store(depth as u64, Ordering::Relaxed);
-        inner.metrics.maint_queue_depth.set(depth as u64);
+    while let Some((job, attempts)) = inner.maint.next_job() {
         // Reset the commit-step marker so a stale flag from a previous
         // job on this thread cannot misclassify this one's failure.
         let _ = crate::db::take_commit_failure();
@@ -935,6 +948,8 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
+    use unikv_common::metrics::MetricsRegistry;
 
     fn opts() -> UniKvOptions {
         UniKvOptions {
@@ -961,6 +976,7 @@ mod tests {
             cfg(),
             Arc::new(UniKvStats::default()),
             EventBus::new(vec![], 1),
+            MetricsRegistry::new(true, 0).gauge("maint_queue_depth"),
         )
     }
 
@@ -1059,19 +1075,26 @@ mod tests {
     #[test]
     fn queue_prioritizes_and_dedups() {
         let m = mstate();
-        assert!(m.schedule(job(JobKind::Gc, 1)).is_some());
-        assert!(m.schedule(job(JobKind::Flush, 2)).is_some());
+        assert!(m.schedule(job(JobKind::Gc, 1)));
+        assert!(m.schedule(job(JobKind::Flush, 2)));
         // Duplicate (kind, partition) pairs collapse.
-        assert!(m.schedule(job(JobKind::Gc, 1)).is_none());
-        assert!(m.schedule(job(JobKind::Merge, 3)).is_some());
+        assert!(!m.schedule(job(JobKind::Gc, 1)));
+        assert!(m.schedule(job(JobKind::Merge, 3)));
+        let depth = || {
+            let stat = m.stats.maint_queue_depth.load(Ordering::Relaxed);
+            assert_eq!(stat, m.queue_depth.value(), "stat and gauge disagree");
+            stat
+        };
+        assert_eq!(depth(), 3);
 
-        let (j1, _, _) = m.next_job().unwrap();
+        let (j1, _) = m.next_job().unwrap();
         assert_eq!(j1.kind, JobKind::Flush);
-        let (j2, _, _) = m.next_job().unwrap();
+        assert_eq!(depth(), 2);
+        let (j2, _) = m.next_job().unwrap();
         assert_eq!(j2.kind, JobKind::Merge);
-        let (j3, _, depth) = m.next_job().unwrap();
+        let (j3, _) = m.next_job().unwrap();
         assert_eq!(j3.kind, JobKind::Gc);
-        assert_eq!(depth, 0);
+        assert_eq!(depth(), 0);
         m.finish_job(j1.partition);
         m.finish_job(j2.partition);
         m.finish_job(j3.partition);
@@ -1084,13 +1107,13 @@ mod tests {
         m.schedule(job(JobKind::Flush, 7));
         m.schedule(job(JobKind::Merge, 7));
         m.schedule(job(JobKind::Gc, 8));
-        let (a, _, _) = m.next_job().unwrap();
+        let (a, _) = m.next_job().unwrap();
         assert_eq!(a.partition, 7);
         // Partition 7 is busy; the next runnable job is partition 8's.
-        let (b, _, _) = m.next_job().unwrap();
+        let (b, _) = m.next_job().unwrap();
         assert_eq!(b.partition, 8);
         m.finish_job(a.partition);
-        let (c, _, _) = m.next_job().unwrap();
+        let (c, _) = m.next_job().unwrap();
         assert_eq!((c.kind, c.partition), (JobKind::Merge, 7));
         m.finish_job(b.partition);
         m.finish_job(c.partition);
@@ -1100,7 +1123,7 @@ mod tests {
     fn transient_failure_requeues_with_backoff_and_heals() {
         let (m, clock) = mstate_with_clock();
         m.schedule(job(JobKind::Gc, 4));
-        let (j, attempts, _) = m.next_job().unwrap();
+        let (j, attempts) = m.next_job().unwrap();
         assert_eq!(attempts, 0);
         m.handle_job_failure(j, attempts, &transient(), false);
         m.finish_job(j.partition);
@@ -1109,7 +1132,7 @@ mod tests {
         // The retry is not runnable until its backoff deadline passes.
         assert!(m.health_report().retrying == 1);
         clock.fetch_add(1000, Ordering::SeqCst);
-        let (j2, attempts2, _) = m.next_job().unwrap();
+        let (j2, attempts2) = m.next_job().unwrap();
         assert_eq!((j2, attempts2), (j, 1));
         // Success settles health back to Healthy and accrues degraded time.
         m.job_succeeded(&j2);
@@ -1121,6 +1144,29 @@ mod tests {
     }
 
     #[test]
+    fn failure_hands_its_backoff_to_a_queued_duplicate() {
+        // The job is scheduled again while its first attempt runs; the
+        // failure must not let that copy run at once, bypassing backoff.
+        let (m, clock) = mstate_with_clock();
+        let j = job(JobKind::Flush, 3);
+        m.schedule(j);
+        let (got, attempts) = m.next_job().unwrap();
+        assert!(m.schedule(j), "an inflight job does not dedup a new copy");
+        m.handle_job_failure(got, attempts, &transient(), false);
+        m.finish_job(got.partition);
+        assert_eq!(m.health_state(), HealthState::Degraded);
+        assert_eq!(m.health_report().retrying, 1);
+        assert!(m.flush_blocked(3));
+        clock.fetch_add(1000, Ordering::SeqCst);
+        let (j2, attempts2) = m.next_job().unwrap();
+        assert_eq!((j2, attempts2), (j, 1));
+        m.job_succeeded(&j2);
+        m.finish_job(j2.partition);
+        assert_eq!(m.health_state(), HealthState::Healthy);
+        m.wait_idle();
+    }
+
+    #[test]
     fn budget_exhaustion_quarantines_and_probe_resurrects() {
         let (m, clock) = mstate_with_clock();
         let j = job(JobKind::Gc, 2);
@@ -1128,7 +1174,7 @@ mod tests {
         // Burn the whole retry budget on transient failures.
         for expect in 0..=3u32 {
             clock.fetch_add(1000, Ordering::SeqCst);
-            let (got, attempts, _) = m.next_job().unwrap();
+            let (got, attempts) = m.next_job().unwrap();
             assert_eq!((got, attempts), (j, expect));
             m.handle_job_failure(got, attempts, &transient(), false);
             m.finish_job(got.partition);
@@ -1140,13 +1186,13 @@ mod tests {
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].partition, 2);
         // Re-scheduling a quarantined job is refused: the probe owns it.
-        assert!(m.schedule(j).is_none());
+        assert!(!m.schedule(j));
         m.wait_idle(); // quarantined jobs do not block idle
 
         // After the probe interval the job is offered again; success
         // clears the quarantine and health recovers.
         clock.fetch_add(51, Ordering::SeqCst);
-        let (got, attempts, _) = m.next_job().unwrap();
+        let (got, attempts) = m.next_job().unwrap();
         assert_eq!((got, attempts), (j, 3));
         m.job_succeeded(&got);
         m.finish_job(got.partition);
@@ -1159,7 +1205,7 @@ mod tests {
         let m = mstate();
         let j = job(JobKind::Merge, 1);
         m.schedule(j);
-        let (got, attempts, _) = m.next_job().unwrap();
+        let (got, attempts) = m.next_job().unwrap();
         m.handle_job_failure(got, attempts, &Error::corruption("bad block"), false);
         m.finish_job(got.partition);
         assert_eq!(m.stats.maint_job_retries.load(Ordering::Relaxed), 0);
@@ -1175,7 +1221,7 @@ mod tests {
         let m = mstate();
         let j = job(JobKind::Flush, 5);
         m.schedule(j);
-        let (got, attempts, _) = m.next_job().unwrap();
+        let (got, attempts) = m.next_job().unwrap();
         m.handle_job_failure(got, attempts, &Error::corruption("sst build"), false);
         m.finish_job(got.partition);
         assert_eq!(m.health_state(), HealthState::ReadOnly);
@@ -1191,7 +1237,7 @@ mod tests {
         let (m, clock) = mstate_with_clock();
         let j = job(JobKind::Merge, 0);
         m.schedule(j);
-        let (got, attempts, _) = m.next_job().unwrap();
+        let (got, attempts) = m.next_job().unwrap();
         let enospc = Error::Io(std::io::Error::new(
             std::io::ErrorKind::StorageFull,
             "disk full",
@@ -1206,7 +1252,7 @@ mod tests {
             .contains("storage full"));
         // Space frees, the retry succeeds, writes reopen.
         clock.fetch_add(1000, Ordering::SeqCst);
-        let (got, _, _) = m.next_job().unwrap();
+        let (got, _) = m.next_job().unwrap();
         m.job_succeeded(&got);
         m.finish_job(got.partition);
         assert_eq!(m.health_state(), HealthState::Healthy);
@@ -1218,7 +1264,7 @@ mod tests {
         let m = mstate();
         let j = job(JobKind::Flush, 1);
         m.schedule(j);
-        let (got, attempts, _) = m.next_job().unwrap();
+        let (got, attempts) = m.next_job().unwrap();
         m.handle_job_failure(got, attempts, &Error::internal("meta write lost"), true);
         m.finish_job(got.partition);
         assert_eq!(m.health_state(), HealthState::Poisoned);
@@ -1235,7 +1281,7 @@ mod tests {
         let m = mstate();
         let j = job(JobKind::Flush, 1);
         m.schedule(j);
-        let (got, attempts, _) = m.next_job().unwrap();
+        let (got, attempts) = m.next_job().unwrap();
         m.handle_job_failure(got, attempts, &transient(), true);
         m.finish_job(got.partition);
         assert!(m.poisoned_error().is_none());
@@ -1251,7 +1297,7 @@ mod tests {
         assert!(m.poison_message().unwrap().contains("disk exploded"));
         assert_eq!(m.health_state(), HealthState::Poisoned);
         // New work is refused and waiters do not hang.
-        assert!(m.schedule(job(JobKind::Flush, 1)).is_none());
+        assert!(!m.schedule(job(JobKind::Flush, 1)));
         m.wait_idle();
         // First error wins.
         m.poison("second".to_string());
@@ -1308,9 +1354,10 @@ mod tests {
             },
             Arc::new(UniKvStats::default()),
             EventBus::new(vec![], 1),
+            MetricsRegistry::new(false, 0).gauge("maint_queue_depth"),
         ));
         m.schedule(job(JobKind::Gc, 0));
-        let (j, attempts, _) = m.next_job().unwrap();
+        let (j, attempts) = m.next_job().unwrap();
         m.handle_job_failure(j, attempts, &transient(), false);
         m.finish_job(j.partition);
         let m2 = m.clone();

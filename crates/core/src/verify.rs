@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use unikv_common::{Error, Result};
 use unikv_env::Env;
-use unikv_lsm::filenames;
+use unikv_sstable::filenames;
 use unikv_sstable::Table;
 use unikv_vlog::{verify_vlog_file, vlog_file_name};
 use unikv_wal::{LogReader, ReadOutcome};

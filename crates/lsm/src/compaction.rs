@@ -1,14 +1,14 @@
 //! Compaction machinery: output-table writing shared by flushes and
 //! compactions, and the policy logic choosing what to compact.
 
-use crate::iter::InternalIterator;
 use crate::options::{CompactionPolicy, LsmOptions};
 use crate::version::{FileMetaData, Version};
 use std::sync::Arc;
 use unikv_common::ikey::{extract_seq_type, extract_user_key, ValueType};
 use unikv_common::{KeyRange, Result};
 use unikv_env::Env;
-use unikv_sstable::{TableBuilder, TableBuilderOptions};
+use unikv_sstable::iter::InternalIterator;
+use unikv_sstable::{filenames, TableBuilder, TableBuilderOptions};
 
 /// What a compaction should do with logically dead entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +75,7 @@ pub fn write_tables(
         if !is_shadowed && !is_dead_tombstone {
             if builder.is_none() {
                 let number = alloc_file_number();
-                let file = env.new_writable(&crate::filenames::table_file(dir, number))?;
+                let file = env.new_writable(&filenames::table_file(dir, number))?;
                 builder = Some((number, TableBuilder::new(file, table_opts.clone())));
             }
             let (_, b) = builder.as_mut().expect("created above");
@@ -107,7 +107,7 @@ pub fn write_tables(
             ));
         } else {
             // Nothing written: remove the empty file.
-            let _ = env.delete_file(&crate::filenames::table_file(dir, number));
+            let _ = env.delete_file(&filenames::table_file(dir, number));
         }
     }
     Ok(outputs)

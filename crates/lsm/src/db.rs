@@ -8,8 +8,6 @@
 //! experiments are deterministic.
 
 use crate::compaction::{pick_compaction, range_is_bottommost, write_tables, DropPolicy};
-use crate::filenames::{self, FileKind};
-use crate::iter::{ConcatSource, InternalIterator, MemTableSource, MergingIterator, TableSource};
 use crate::options::{CompactionPolicy, LsmOptions};
 use crate::stats::EngineStats;
 use crate::version::{apply_edit, FileMetaData, Version, VersionEdit};
@@ -26,20 +24,15 @@ use unikv_common::ikey::{
 };
 use unikv_common::metrics::{EngineMetrics, MetricsRegistry, TraceOutcome};
 use unikv_common::perf::{self, PerfContext, PerfStage};
-use unikv_common::{Error, Result};
+use unikv_common::{Error, Result, ScanItem};
 use unikv_env::Env;
 use unikv_memtable::{LookupResult, MemTable};
+use unikv_sstable::filenames::{self, FileKind};
+use unikv_sstable::iter::{
+    ConcatSource, InternalIterator, MemTableSource, MergingIterator, TableSource,
+};
 use unikv_sstable::{BlockCache, Table, TableBuilderOptions, TableOptions};
 use unikv_wal::{LogReader, LogWriter, ReadOutcome};
-
-/// One scan result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanItem {
-    /// User key.
-    pub key: Vec<u8>,
-    /// Value.
-    pub value: Vec<u8>,
-}
 
 /// Lazily-opened table handles, shared by reads and compactions.
 pub(crate) struct TableCache {

@@ -21,12 +21,11 @@
 
 pub mod compaction;
 pub mod db;
-pub mod filenames;
-pub mod iter;
 pub mod options;
 pub mod stats;
 pub mod version;
 
-pub use db::{LsmDb, ScanItem};
+pub use db::LsmDb;
 pub use options::{Baseline, CompactionPolicy, LsmOptions};
 pub use stats::EngineStats;
+pub use unikv_common::ScanItem;

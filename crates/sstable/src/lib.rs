@@ -16,12 +16,18 @@
 //!
 //! Every block is followed by a 5-byte trailer: compression type (always
 //! raw here) and a masked CRC32C.
+//!
+//! The crate also holds what every engine builds on top of tables: the
+//! k-way [`iter::MergingIterator`] over memtables and tables, and the
+//! database [`filenames`] scheme.
 
 pub mod block;
 pub mod builder;
 pub mod cache;
+pub mod filenames;
 pub mod filter;
 pub mod format;
+pub mod iter;
 pub mod reader;
 
 pub use block::{Block, BlockBuilder, BlockIterator};

@@ -8,6 +8,9 @@
 //! See `README.md` for the project overview, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for the paper-vs-measured results.
 
+mod router;
+
+pub use router::{SizeRouter, SizeRouterOptions};
 pub use unikv;
 pub use unikv_common;
 pub use unikv_env;
@@ -25,7 +28,8 @@ pub use unikv_workload;
 /// assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
 /// ```
 pub mod prelude {
-    pub use unikv::{ScanItem, SizeRouter, SizeRouterOptions, UniKv, UniKvOptions, WriteBatch};
+    pub use crate::{SizeRouter, SizeRouterOptions};
+    pub use unikv::{ScanItem, UniKv, UniKvOptions, WriteBatch};
     pub use unikv_common::{Error, Result};
     pub use unikv_env::fs::FsEnv;
     pub use unikv_env::mem::MemEnv;
