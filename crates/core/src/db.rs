@@ -9,10 +9,18 @@
 //! index), a SortedStore (one sorted run with value pointers), and a value
 //! log. One `RwLock` guards the partition list: reads/scans share it,
 //! writes and structural operations (flush, merge, GC, split) take it
-//! exclusively and run inline, so experiments are deterministic — the
-//! paper's background threads are serialized with the foreground exactly
-//! as its §GC notes ("GC and compaction operations are executed
-//! sequentially... GC cost is charged to write performance").
+//! exclusively.
+//!
+//! Structural operations run in one of two modes. Inline (the default,
+//! `background_jobs = 0`) they run under the write that triggered them,
+//! so experiments are deterministic — the paper's background threads are
+//! serialized with the foreground exactly as its §GC notes ("GC and
+//! compaction operations are executed sequentially... GC cost is charged
+//! to write performance"). With `background_jobs >= 1`, worker threads
+//! run them as queued jobs, at most one per partition. Both modes run the
+//! same implementation of each operation — snapshot, build, install —
+//! and differ only in whether the core lock is released around the build
+//! step (`CoreLock`).
 //!
 //! ## Crash consistency
 //!
@@ -37,7 +45,7 @@ use crate::partition::{
 };
 use crate::resolver::{partition_dir, ValueResolver};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -734,15 +742,7 @@ impl DbInner {
             (key.len() + value.len()) as u64,
         );
         let pid = p.meta.id;
-        if p.mem.approximate_memory_usage() >= self.opts.write_buffer_size {
-            if self.opts.background_jobs > 0 {
-                self.seal_memtable(&mut core, pidx)?;
-                self.schedule(JobKind::Flush, pid);
-            } else {
-                let fin = self.flush_partition(&mut core, pidx)?;
-                self.run_triggers(&mut core, pidx, fin)?;
-            }
-        }
+        self.hand_off_if_full(&mut core, pidx)?;
         Ok(pid)
     }
 
@@ -792,16 +792,7 @@ impl DbInner {
             }
         }
         for pidx in 0..core.partitions.len() {
-            if core.partitions[pidx].mem.approximate_memory_usage() >= self.opts.write_buffer_size {
-                if self.opts.background_jobs > 0 {
-                    let pid = core.partitions[pidx].meta.id;
-                    self.seal_memtable(&mut core, pidx)?;
-                    self.schedule(JobKind::Flush, pid);
-                } else {
-                    let fin = self.flush_partition(&mut core, pidx)?;
-                    self.run_triggers(&mut core, pidx, fin)?;
-                }
-            }
+            self.hand_off_if_full(&mut core, pidx)?;
         }
         // One latency sample per batch; the contained ops count into
         // `writes`/`batch_ops` so `put_latency`'s sample count keeps
@@ -819,6 +810,25 @@ impl DbInner {
             partition: 0,
             bytes: n,
         });
+        Ok(())
+    }
+
+    /// Hand off partition `pidx`'s memtable once it is full — the one
+    /// place writes choose between the modes: with background workers,
+    /// seal it and schedule its flush; inline, flush it and run the
+    /// triggers the flush may trip.
+    fn hand_off_if_full(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
+        if core.partitions[pidx].mem.approximate_memory_usage() < self.opts.write_buffer_size {
+            return Ok(());
+        }
+        if self.opts.background_jobs > 0 {
+            let pid = core.partitions[pidx].meta.id;
+            self.seal_memtable(core, pidx)?;
+            self.schedule(JobKind::Flush, pid);
+        } else {
+            let fin = self.flush_partition(core, pidx)?;
+            self.run_triggers(core, pidx, fin)?;
+        }
         Ok(())
     }
 
@@ -849,7 +859,8 @@ impl DbInner {
                 fin = self.flush_partition(&mut core, i)?;
             }
             if !core.partitions[i].meta.unsorted.is_empty() {
-                self.merge_partition(&mut core, i, fin)?;
+                let pid = core.partitions[i].meta.id;
+                self.merge(CoreLock::Held(&mut core), pid, fin)?;
             }
         }
         Ok(())
@@ -1391,20 +1402,11 @@ impl DbInner {
     /// Merging iterator over one partition (memtable + UnsortedStore
     /// tables + the SortedStore run).
     fn partition_iter(&self, p: &Partition) -> Result<MergingIterator> {
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(MemTableSource::new(p.mem.clone())));
-        for sealed in &p.imms {
-            children.push(Box::new(MemTableSource::new(sealed.mem.clone())));
-        }
-        for tmeta in &p.meta.unsorted {
-            let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
-        }
-        let mut run = Vec::with_capacity(p.meta.sorted.len());
-        for tmeta in &p.meta.sorted {
-            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
-        }
-        children.push(Box::new(ConcatSource::new(run)));
+        let mut children: Vec<Box<dyn InternalIterator>> = std::iter::once(&p.mem)
+            .chain(p.imms.iter().map(|s| &s.mem))
+            .map(|m| Box::new(MemTableSource::new(m.clone())) as Box<dyn InternalIterator>)
+            .collect();
+        children.extend(self.table_sources(p, true)?);
         Ok(MergingIterator::new(children))
     }
 
@@ -1427,24 +1429,18 @@ impl DbInner {
     /// (usually the triggering flush's finish); each completed step becomes
     /// the cause of the next, chaining seal→flush→merge→GC causally.
     fn run_triggers(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        let (over_unsorted, over_scan_merge) = {
-            let p = &core.partitions[pidx];
-            (
-                p.unsorted_bytes() >= self.opts.unsorted_limit_bytes,
-                self.opts.enable_scan_optimization
-                    && p.meta.unsorted.len() >= self.opts.scan_merge_limit,
-            )
+        let p = &core.partitions[pidx];
+        let pid = p.meta.id;
+        let fin = if p.unsorted_bytes() >= self.opts.unsorted_limit_bytes {
+            self.merge(CoreLock::Held(core), pid, cause)?
+        } else if self.opts.enable_scan_optimization
+            && p.meta.unsorted.len() >= self.opts.scan_merge_limit
+        {
+            self.scan_merge(CoreLock::Held(core), pid, cause)?
+        } else {
+            None
         };
-        let mut cause = cause;
-        if over_unsorted {
-            if let Some(fin) = self.merge_partition(core, pidx, cause)? {
-                cause = Some(fin);
-            }
-        } else if over_scan_merge {
-            if let Some(fin) = self.scan_merge_partition(core, pidx, cause)? {
-                cause = Some(fin);
-            }
-        }
+        let cause = fin.or(cause);
         self.maybe_gc(core, pidx, cause)?;
         self.maybe_split(core, pidx, cause)?;
         Ok(())
@@ -1474,7 +1470,7 @@ impl DbInner {
             self.note_job_cause(JobKind::Gc, pid, cause);
             self.schedule(JobKind::Gc, pid);
         }
-        if self.opts.enable_partitioning && p.logical_size() > self.opts.partition_size_limit {
+        if self.split_due(p) {
             self.note_job_cause(JobKind::Split, pid, cause);
             self.schedule(JobKind::Split, pid);
         }
@@ -1647,24 +1643,45 @@ impl DbInner {
         if !core.partitions[pidx].mem.is_empty() {
             self.seal_memtable(core, pidx)?;
         }
+        let pid = core.partitions[pidx].meta.id;
         let mut last_finish = None;
-        while !core.partitions[pidx].imms.is_empty() {
-            let t0 = self.metrics.registry.now_micros();
-            let table_number = core.alloc_file();
-            let sealed = core.partitions[pidx].imms[0].clone();
-            let pid = core.partitions[pidx].meta.id;
-            let dir = partition_dir(&self.root, pid);
-            let scope = OpScope::begin(
-                &self.events,
-                EventKind::FlushStart,
-                EventKind::FlushAbort,
-                pid,
-                sealed.cause,
-                vec![sealed.wal_number],
-                0,
-            );
-            let (tmeta, keys) = self.build_flush_table(&dir, table_number, sealed.mem)?;
-            let bytes = tmeta.size;
+        while let Some(fin) = self.flush_sealed(CoreLock::Held(core), pid)? {
+            last_finish = Some(fin);
+        }
+        Ok(last_finish)
+    }
+
+    /// Flush partition `pid`'s oldest sealed memtable: snapshot it and
+    /// allocate the table number, build the table, install it. Returns the
+    /// finish event seq, or `None` once nothing is sealed or the partition
+    /// is gone.
+    fn flush_sealed(&self, mut core: CoreLock<'_>, pid: u32) -> Result<Option<u64>> {
+        let Some((table_number, sealed)) = core.with(|core| {
+            let sealed = core.partitions[core.partition_index(pid)?]
+                .imms
+                .first()?
+                .clone();
+            Some((core.alloc_file(), sealed))
+        }) else {
+            return Ok(None);
+        };
+        let t0 = self.metrics.registry.now_micros();
+        let scope = OpScope::begin(
+            &self.events,
+            EventKind::FlushStart,
+            EventKind::FlushAbort,
+            pid,
+            sealed.cause,
+            vec![sealed.wal_number],
+            0,
+        );
+        let dir = partition_dir(&self.root, pid);
+        let (tmeta, keys) = self.build_flush_table(&dir, table_number, sealed.mem)?;
+        let bytes = tmeta.size;
+        core.with(|core| {
+            let Some(pidx) = core.partition_index(pid) else {
+                return Ok(None); // partition vanished (split); scope aborts
+            };
             self.install_flush(
                 core,
                 pidx,
@@ -1673,10 +1690,10 @@ impl DbInner {
                 sealed.wal_number,
                 Some(scope.start_seq),
             )?;
-            last_finish = Some(scope.finish(EventKind::FlushFinish, vec![table_number], bytes, ""));
+            let fin = scope.finish(EventKind::FlushFinish, vec![table_number], bytes, "");
             self.record_maint(TraceOp::Flush, t0, pid, bytes);
-        }
-        Ok(last_finish)
+            Ok(Some(fin))
+        })
     }
 
     /// Record one completed maintenance operation: a latency sample in the
@@ -1705,65 +1722,106 @@ impl DbInner {
         }
     }
 
-    /// Merge the UnsortedStore into the SortedStore with partial KV
-    /// separation: fresh (inline) values move to a new value log; values
-    /// already separated keep their pointers and are NOT rewritten.
-    fn merge_partition(
+    /// Iterator sources over partition `p`'s tables: one per UnsortedStore
+    /// table in flush order, then (with `with_sorted`) one for the
+    /// SortedStore run. The sources own their table handles, so they stay
+    /// valid after the core lock is released.
+    fn table_sources(
         &self,
-        core: &mut DbCore,
-        pidx: usize,
-        cause: Option<u64>,
-    ) -> Result<Option<u64>> {
-        let start_file = core.next_file;
-        let mut used = 0u64;
-        let DbCore {
-            partitions,
-            next_file,
-            ..
-        } = core;
-        let p = &mut partitions[pidx];
-        if p.meta.unsorted.is_empty() && p.meta.sorted.is_empty() {
+        p: &Partition,
+        with_sorted: bool,
+    ) -> Result<Vec<Box<dyn InternalIterator>>> {
+        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        for tmeta in &p.meta.unsorted {
+            children.push(Box::new(TableSource::new(
+                &self.open_table(p, tmeta.number)?,
+            )));
+        }
+        if with_sorted {
+            let mut run = Vec::with_capacity(p.meta.sorted.len());
+            for tmeta in &p.meta.sorted {
+                run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
+            }
+            children.push(Box::new(ConcatSource::new(run)));
+        }
+        Ok(children)
+    }
+
+    /// Snapshot partition `pid`'s tables as the input of a merge (with the
+    /// SortedStore run) or a size-based merge (without). `None` if the
+    /// partition is gone or `due` rejects it.
+    fn merge_inputs(
+        &self,
+        core: &DbCore,
+        pid: u32,
+        with_sorted: bool,
+        due: impl FnOnce(&Partition) -> bool,
+    ) -> Result<Option<MergeInputs>> {
+        let Some(pidx) = core.partition_index(pid) else {
+            return Ok(None);
+        };
+        let p = &core.partitions[pidx];
+        if !due(p) {
             return Ok(None);
         }
+        Ok(Some(MergeInputs {
+            dir: partition_dir(&self.root, pid),
+            unsorted: p.meta.unsorted.clone(),
+            sorted: if with_sorted {
+                p.meta.sorted.clone()
+            } else {
+                Vec::new()
+            },
+            sources: self.table_sources(p, with_sorted)?,
+            vlog: p.vlog.clone(),
+        }))
+    }
+
+    /// Evict and delete tables a committed structural change replaced.
+    fn delete_tables(&self, p: &Partition, tables: &[TableMeta]) -> Result<()> {
+        let dir = partition_dir(&self.root, p.meta.id);
+        for t in tables {
+            p.evict_table(t.number);
+            self.env
+                .delete_file(&filenames::table_file(&dir, t.number))?;
+        }
+        Ok(())
+    }
+
+    /// Merge partition `pid`'s UnsortedStore into its SortedStore with
+    /// partial KV separation: fresh (inline) values move to a new value
+    /// log; values already separated keep their pointers and are NOT
+    /// rewritten. Returns the finish event seq, or `None` when both tiers
+    /// are empty.
+    fn merge(&self, mut core: CoreLock<'_>, pid: u32, cause: Option<u64>) -> Result<Option<u64>> {
+        let Some(inputs) = core.with(|core| {
+            self.merge_inputs(core, pid, true, |p| {
+                !p.meta.unsorted.is_empty() || !p.meta.sorted.is_empty()
+            })
+        })?
+        else {
+            return Ok(None);
+        };
         let t0 = self.metrics.registry.now_micros();
         self.sync.hit("merge:begin")?;
-        let dir = partition_dir(&self.root, p.meta.id);
-        let input_bytes = p.unsorted_bytes() + p.sorted_bytes();
-        let input_tables: Vec<u64> = p
-            .meta
-            .unsorted
-            .iter()
-            .chain(p.meta.sorted.iter())
-            .map(|t| t.number)
-            .collect();
+        let input_bytes = inputs.bytes();
         let scope = OpScope::begin(
             &self.events,
             EventKind::MergeStart,
             EventKind::MergeAbort,
-            p.meta.id,
+            pid,
             cause,
-            input_tables,
+            inputs.numbers(),
             input_bytes,
         );
 
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for tmeta in &p.meta.unsorted {
-            let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
-        }
-        let mut run = Vec::with_capacity(p.meta.sorted.len());
-        for tmeta in &p.meta.sorted {
-            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
-        }
-        children.push(Box::new(ConcatSource::new(run)));
-        let mut iter = MergingIterator::new(children);
+        let vlog = &inputs.vlog;
+        let mut iter = MergingIterator::new(inputs.sources);
         iter.seek_to_first()?;
-
         if self.opts.enable_kv_separation {
-            p.vlog.lock().rotate()?; // new values go to a freshly created log
+            vlog.lock().rotate()?; // new values go to a freshly created log
         }
-        let mut new_tables: Vec<TableMeta> = Vec::new();
-        let mut builder: Option<TableBuilder> = None;
+        let mut out = SortedWriter::new(self, inputs.dir.clone());
         let mut written = 0u64;
         let mut live_value_bytes = 0u64;
         let mut last_user_key: Option<Vec<u8>> = None;
@@ -1779,7 +1837,7 @@ impl DbInner {
                 if vt == ValueType::Value {
                     let slot = match SeparatedValue::decode(iter.value())? {
                         SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                            let ptr = p.vlog.lock().append(&v)?;
+                            let ptr = vlog.lock().append(&v)?;
                             written += v.len() as u64;
                             live_value_bytes += ptr.length as u64;
                             SeparatedValue::Pointer(ptr)
@@ -1790,128 +1848,96 @@ impl DbInner {
                             SeparatedValue::Pointer(ptr)
                         }
                     };
-                    if builder.is_none() {
-                        let number = start_file + used;
-                        used += 1;
-                        builder = Some(TableBuilder::new(
-                            self.env
-                                .new_writable(&filenames::table_file(&dir, number))?,
-                            self.table_builder_opts(),
-                        ));
-                        new_tables.push(TableMeta {
-                            number,
-                            size: 0,
-                            smallest: Vec::new(),
-                            largest: Vec::new(),
-                        });
-                    }
-                    let b = builder.as_mut().expect("created above");
-                    b.add(&ikey, &slot.encode())?;
-                    if b.estimated_size() >= self.opts.table_size as u64 {
-                        let props = builder.take().expect("present").finish()?;
-                        written += props.file_size;
-                        let t = new_tables.last_mut().expect("pushed");
-                        t.size = props.file_size;
-                        t.smallest = props.smallest;
-                        t.largest = props.largest;
-                    }
+                    out.add(&ikey, &slot.encode(), || core.with(DbCore::alloc_file))?;
                 }
             }
             iter.next()?;
         }
-        if let Some(b) = builder.take() {
-            let props = b.finish()?;
-            written += props.file_size;
-            let t = new_tables.last_mut().expect("pushed");
-            t.size = props.file_size;
-            t.smallest = props.smallest;
-            t.largest = props.largest;
-        }
-        *next_file = start_file + used;
-        p.vlog.lock().sync()?;
+        let (new_tables, table_bytes) = out.finish()?;
+        written += table_bytes;
+        vlog.lock().sync()?;
         self.sync.hit("merge:build")?;
 
-        UniKvStats::add(&self.stats.merge_bytes_read, input_bytes);
-        UniKvStats::add(&self.stats.merge_bytes_written, written);
-        UniKvStats::add(&self.stats.merges, 1);
+        core.with(|core| {
+            let Some(pidx) = core.partition_index(pid) else {
+                return Ok(None);
+            };
+            let p = &mut core.partitions[pidx];
+            ensure_unchanged("merge", &p.meta.unsorted, &inputs.unsorted)?;
+            ensure_unchanged("merge", &p.meta.sorted, &inputs.sorted)?;
+            UniKvStats::add(&self.stats.merge_bytes_read, input_bytes);
+            UniKvStats::add(&self.stats.merge_bytes_written, written);
+            UniKvStats::add(&self.stats.merges, 1);
 
-        // Swap the tiers: UnsortedStore empties; the hash index resets.
-        let output_tables: Vec<u64> = new_tables.iter().map(|t| t.number).collect();
-        let old_tables: Vec<TableMeta> = p
-            .meta
-            .unsorted
-            .drain(..)
-            .chain(p.meta.sorted.drain(..))
-            .collect();
-        p.meta.sorted = new_tables;
-        p.meta.own_logs = p.vlog.lock().log_numbers();
-        p.meta.live_value_bytes = live_value_bytes;
-        p.index.clear();
-        p.meta.ckpt_tables.clear();
-        p.flushes_since_ckpt = 0;
-        if self.opts.enable_hash_index {
-            self.env
-                .write_atomic(&dir.join(INDEX_CKPT), &encode_index_ckpt(&[], &p.index))?;
-        }
+            // Swap the tiers: UnsortedStore empties; the hash index resets.
+            let output_tables: Vec<u64> = new_tables.iter().map(|t| t.number).collect();
+            let old_tables: Vec<TableMeta> = p
+                .meta
+                .unsorted
+                .drain(..)
+                .chain(p.meta.sorted.drain(..))
+                .collect();
+            p.meta.sorted = new_tables;
+            p.meta.own_logs = vlog.lock().log_numbers();
+            p.meta.live_value_bytes = live_value_bytes;
+            p.index.clear();
+            p.meta.ckpt_tables.clear();
+            p.flushes_since_ckpt = 0;
+            if self.opts.enable_hash_index {
+                self.env.write_atomic(
+                    &inputs.dir.join(INDEX_CKPT),
+                    &encode_index_ckpt(&[], &p.index),
+                )?;
+            }
 
-        self.sync.hit("merge:commit")?;
-        self.commit_meta(core)?;
-        // META committed: the merge is durable, so the finish event fires
-        // here — a cleanup failure below must not read as an aborted merge.
-        let fin = scope.finish(EventKind::MergeFinish, output_tables, written, "");
-        self.sync.hit("merge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        let dir = partition_dir(&self.root, p.meta.id);
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
-        self.record_maint(TraceOp::Merge, t0, core.partitions[pidx].meta.id, written);
-        Ok(Some(fin))
+            self.sync.hit("merge:commit")?;
+            self.commit_meta(core)?;
+            // META committed: the merge is durable, so the finish event
+            // fires here — a cleanup failure below must not read as an
+            // aborted merge.
+            let fin = scope.finish(EventKind::MergeFinish, output_tables, written, "");
+            self.sync.hit("merge:cleanup")?;
+            self.delete_tables(&core.partitions[pidx], &old_tables)?;
+            self.maint.notify_progress();
+            self.record_maint(TraceOp::Merge, t0, pid, written);
+            Ok(Some(fin))
+        })
     }
 
     /// Size-based merge (scan optimization): collapse all UnsortedStore
-    /// tables into one globally sorted UnsortedStore table — values stay
-    /// inline, the tier stays hash-indexed, scans stop paying one seek per
-    /// overlapping table.
-    fn scan_merge_partition(
+    /// tables of partition `pid` into one globally sorted UnsortedStore
+    /// table — values stay inline, the tier stays hash-indexed, scans stop
+    /// paying one seek per overlapping table. Returns the finish event
+    /// seq, or `None` with fewer than two tables.
+    fn scan_merge(
         &self,
-        core: &mut DbCore,
-        pidx: usize,
+        mut core: CoreLock<'_>,
+        pid: u32,
         cause: Option<u64>,
     ) -> Result<Option<u64>> {
-        let table_number = core.alloc_file();
-        let p = &mut core.partitions[pidx];
-        if p.meta.unsorted.len() < 2 {
+        let Some(inputs) =
+            core.with(|core| self.merge_inputs(core, pid, false, |p| p.meta.unsorted.len() >= 2))?
+        else {
             return Ok(None);
-        }
+        };
+        let table_number = core.with(DbCore::alloc_file);
         let t0 = self.metrics.registry.now_micros();
         self.sync.hit("scanmerge:begin")?;
-        let dir = partition_dir(&self.root, p.meta.id);
-        let input_tables: Vec<u64> = p.meta.unsorted.iter().map(|t| t.number).collect();
-        let input_bytes = p.unsorted_bytes();
         let scope = OpScope::begin(
             &self.events,
             EventKind::ScanMergeStart,
             EventKind::ScanMergeAbort,
-            p.meta.id,
+            pid,
             cause,
-            input_tables,
-            input_bytes,
+            inputs.numbers(),
+            inputs.bytes(),
         );
 
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for tmeta in &p.meta.unsorted {
-            let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
-        }
-        let mut iter = MergingIterator::new(children);
+        let mut iter = MergingIterator::new(inputs.sources);
         iter.seek_to_first()?;
-
         let mut builder = TableBuilder::new(
             self.env
-                .new_writable(&filenames::table_file(&dir, table_number))?,
+                .new_writable(&filenames::table_file(&inputs.dir, table_number))?,
             self.table_builder_opts(),
         );
         let mut new_index =
@@ -1932,48 +1958,45 @@ impl DbInner {
         }
         let props = builder.finish()?;
         self.sync.hit("scanmerge:build")?;
-        UniKvStats::add(&self.stats.merge_bytes_written, props.file_size);
-        UniKvStats::add(&self.stats.scan_merges, 1);
+        let size = props.file_size;
 
-        let old_tables = std::mem::replace(
-            &mut p.meta.unsorted,
-            vec![TableMeta {
-                number: table_number,
-                size: props.file_size,
-                smallest: props.smallest,
-                largest: props.largest,
-            }],
-        );
-        p.index = new_index;
-        if self.opts.enable_hash_index {
-            self.env.write_atomic(
-                &dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&[table_number], &p.index),
-            )?;
-            p.meta.ckpt_tables = vec![table_number];
-            p.flushes_since_ckpt = 0;
-        }
+        core.with(|core| {
+            let Some(pidx) = core.partition_index(pid) else {
+                return Ok(None);
+            };
+            let p = &mut core.partitions[pidx];
+            ensure_unchanged("size-based merge", &p.meta.unsorted, &inputs.unsorted)?;
+            UniKvStats::add(&self.stats.merge_bytes_written, size);
+            UniKvStats::add(&self.stats.scan_merges, 1);
 
-        self.sync.hit("scanmerge:commit")?;
-        self.commit_meta(core)?;
-        let merged_size = core.partitions[pidx].meta.unsorted[0].size;
-        let fin = scope.finish(
-            EventKind::ScanMergeFinish,
-            vec![table_number],
-            merged_size,
-            "",
-        );
-        self.sync.hit("scanmerge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        let dir = partition_dir(&self.root, p.meta.id);
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
-        let pid = core.partitions[pidx].meta.id;
-        self.record_maint(TraceOp::ScanMerge, t0, pid, merged_size);
-        Ok(Some(fin))
+            let old_tables = std::mem::replace(
+                &mut p.meta.unsorted,
+                vec![TableMeta {
+                    number: table_number,
+                    size,
+                    smallest: props.smallest,
+                    largest: props.largest,
+                }],
+            );
+            p.index = new_index;
+            if self.opts.enable_hash_index {
+                self.env.write_atomic(
+                    &inputs.dir.join(INDEX_CKPT),
+                    &encode_index_ckpt(&[table_number], &p.index),
+                )?;
+                p.meta.ckpt_tables = vec![table_number];
+                p.flushes_since_ckpt = 0;
+            }
+
+            self.sync.hit("scanmerge:commit")?;
+            self.commit_meta(core)?;
+            let fin = scope.finish(EventKind::ScanMergeFinish, vec![table_number], size, "");
+            self.sync.hit("scanmerge:cleanup")?;
+            self.delete_tables(&core.partitions[pidx], &old_tables)?;
+            self.maint.notify_progress();
+            self.record_maint(TraceOp::ScanMerge, t0, pid, size);
+            Ok(Some(fin))
+        })
     }
 
     /// The GC trigger condition for one partition.
@@ -2008,14 +2031,7 @@ impl DbInner {
     /// SortedStore with the new pointers, drop old and inherited logs.
     /// Also performs the lazy value split after a partition split.
     fn gc_partition(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        let start_file = core.next_file;
-        let mut used = 0u64;
-        let DbCore {
-            partitions,
-            next_file,
-            ..
-        } = core;
-        let p = &mut partitions[pidx];
+        let p = &mut core.partitions[pidx];
         if p.meta.sorted.is_empty() && p.meta.inherited_logs.is_empty() {
             // No pointers can exist; every own log is garbage.
             let dead: Vec<u64> = p.vlog.lock().log_numbers();
@@ -2029,24 +2045,25 @@ impl DbInner {
             }
             return Ok(());
         }
+        let pid = p.meta.id;
         let t0 = self.metrics.registry.now_micros();
         self.sync.hit("gc:begin")?;
-        let dir = partition_dir(&self.root, p.meta.id);
-        let old_logs: Vec<u64> = p.vlog.lock().log_numbers();
+        let vlog = p.vlog.clone();
+        let old_logs: Vec<u64> = vlog.lock().log_numbers();
         let scope = OpScope::begin(
             &self.events,
             EventKind::GcStart,
             EventKind::GcAbort,
-            p.meta.id,
+            pid,
             cause,
             old_logs.clone(),
-            p.vlog.lock().total_size(),
+            vlog.lock().total_size(),
         );
 
         // Step 1+2 of the paper's protocol: identify valid values by
         // scanning the SortedStore in key order, read them, and append to
         // a newly created log.
-        p.vlog.lock().rotate()?;
+        vlog.lock().rotate()?;
         let mut run = Vec::with_capacity(p.meta.sorted.len());
         for tmeta in &p.meta.sorted {
             run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
@@ -2054,60 +2071,27 @@ impl DbInner {
         let mut iter = ConcatSource::new(run);
         iter.seek_to_first()?;
 
-        let mut builder: Option<TableBuilder> = None;
-        let mut new_tables: Vec<TableMeta> = Vec::new();
+        let mut out = SortedWriter::new(self, partition_dir(&self.root, pid));
         let mut written = 0u64;
         let mut live_value_bytes = 0u64;
         while iter.valid() {
-            let ikey = iter.ikey().to_vec();
             let slot = match SeparatedValue::decode(iter.value())? {
                 SeparatedValue::Pointer(ptr) => {
                     let value = self.resolver.read(&ptr)?;
-                    let new_ptr = p.vlog.lock().append(&value)?;
+                    let new_ptr = vlog.lock().append(&value)?;
                     written += value.len() as u64;
                     live_value_bytes += new_ptr.length as u64;
                     SeparatedValue::Pointer(new_ptr)
                 }
                 inline => inline,
             };
-            if builder.is_none() {
-                let number = start_file + used;
-                used += 1;
-                builder = Some(TableBuilder::new(
-                    self.env
-                        .new_writable(&filenames::table_file(&dir, number))?,
-                    self.table_builder_opts(),
-                ));
-                new_tables.push(TableMeta {
-                    number,
-                    size: 0,
-                    smallest: Vec::new(),
-                    largest: Vec::new(),
-                });
-            }
-            let b = builder.as_mut().expect("created above");
             // Step 3: write keys with their new pointers back to SSTables.
-            b.add(&ikey, &slot.encode())?;
-            if b.estimated_size() >= self.opts.table_size as u64 {
-                let props = builder.take().expect("present").finish()?;
-                written += props.file_size;
-                let t = new_tables.last_mut().expect("pushed");
-                t.size = props.file_size;
-                t.smallest = props.smallest;
-                t.largest = props.largest;
-            }
+            out.add(iter.ikey(), &slot.encode(), || core.alloc_file())?;
             iter.next()?;
         }
-        if let Some(b) = builder.take() {
-            let props = b.finish()?;
-            written += props.file_size;
-            let t = new_tables.last_mut().expect("pushed");
-            t.size = props.file_size;
-            t.smallest = props.smallest;
-            t.largest = props.largest;
-        }
-        *next_file = start_file + used;
-        p.vlog.lock().sync()?;
+        let (new_tables, table_bytes) = out.finish()?;
+        written += table_bytes;
+        vlog.lock().sync()?;
         self.sync.hit("gc:build")?;
 
         UniKvStats::add(&self.stats.gc_bytes_written, written);
@@ -2119,10 +2103,10 @@ impl DbInner {
         // later successful commit would persist a half-applied GC — e.g.
         // dropping `inherited_logs` that rewritten pointers still need,
         // turning those logs into orphans deleted on the next open.
+        let p = &mut core.partitions[pidx];
         let old_tables = std::mem::replace(&mut p.meta.sorted, new_tables);
         let old_inherited = std::mem::take(&mut p.meta.inherited_logs);
-        let new_logs: Vec<u64> = p
-            .vlog
+        let new_logs: Vec<u64> = vlog
             .lock()
             .log_numbers()
             .into_iter()
@@ -2138,20 +2122,13 @@ impl DbInner {
         let new_log_numbers = core.partitions[pidx].meta.own_logs.clone();
         scope.finish(EventKind::GcFinish, new_log_numbers, written, "");
         self.sync.hit("gc:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        let dir = partition_dir(&self.root, p.meta.id);
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
+        self.delete_tables(&core.partitions[pidx], &old_tables)?;
         for n in &old_logs {
-            self.resolver.evict(p.meta.id, *n);
+            self.resolver.evict(pid, *n);
         }
-        let p = &mut core.partitions[pidx];
-        p.vlog.lock().delete_logs(&old_logs)?;
+        vlog.lock().delete_logs(&old_logs)?;
         self.sweep_shared_logs(core, &old_inherited)?;
-        self.record_maint(TraceOp::Gc, t0, core.partitions[pidx].meta.id, written);
+        self.record_maint(TraceOp::Gc, t0, pid, written);
         Ok(())
     }
 
@@ -2175,14 +2152,16 @@ impl DbInner {
         Ok(())
     }
 
+    /// The split trigger condition for one partition.
+    fn split_due(&self, p: &Partition) -> bool {
+        self.opts.enable_partitioning && p.logical_size() > self.opts.partition_size_limit
+    }
+
     fn maybe_split(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        if !self.opts.enable_partitioning {
-            return Ok(());
+        if self.split_due(&core.partitions[pidx]) {
+            self.split_partition(core, pidx, cause)?;
         }
-        if core.partitions[pidx].logical_size() <= self.opts.partition_size_limit {
-            return Ok(());
-        }
-        self.split_partition(core, pidx, cause).map(|_| ())
+        Ok(())
     }
 
     /// Dynamic range partitioning: split partition `pidx` at its median
@@ -2205,8 +2184,7 @@ impl DbInner {
 
         // Pass 1: count live entries to find the median split point.
         let total = {
-            let p = &core.partitions[pidx];
-            let mut iter = self.merged_partition_tables_iter(p)?;
+            let mut iter = MergingIterator::new(self.table_sources(&core.partitions[pidx], true)?);
             iter.seek_to_first()?;
             let mut count = 0u64;
             let mut last_user_key: Option<Vec<u8>> = None;
@@ -2230,16 +2208,13 @@ impl DbInner {
         self.sync.hit("split:begin")?;
         let half = total / 2;
 
-        // Allocate children. Table numbers for the split outputs come from
-        // a local bump allocator reconciled into `core.next_file` after the
-        // pass (the pass holds an immutable borrow of the parent).
+        // Allocate children: ids, then WAL numbers; the tables written below
+        // take the file numbers that follow.
         let left_id = core.next_partition;
         let right_id = core.next_partition + 1;
         core.next_partition += 2;
         let left_wal = core.alloc_file();
         let right_wal = core.alloc_file();
-        let split_file_start = core.next_file;
-        let mut split_files_used = 0u64;
 
         let parent_lo = core.partitions[pidx].meta.lo.clone();
         let parent_hi = core.partitions[pidx].meta.hi.clone();
@@ -2276,14 +2251,14 @@ impl DbInner {
         );
 
         // Pass 2: stream entries into the two children.
-        struct ChildBuild {
+        struct ChildBuild<'a> {
             id: u32,
             dir: PathBuf,
             vlog: ValueLog,
+            out: SortedWriter<'a>,
             tables: Vec<TableMeta>,
-            builder: Option<TableBuilder>,
             live_value_bytes: u64,
-            inherited: HashSet<LogRef>,
+            inherited: BTreeSet<LogRef>,
             written: u64,
         }
         let mk_child = |id: u32| -> Result<ChildBuild> {
@@ -2294,12 +2269,12 @@ impl DbInner {
             vlog.set_metrics(self.metrics.vlog.clone());
             Ok(ChildBuild {
                 id,
+                out: SortedWriter::new(self, dir.clone()),
                 dir,
                 vlog,
                 tables: Vec::new(),
-                builder: None,
                 live_value_bytes: 0,
-                inherited: HashSet::new(),
+                inherited: BTreeSet::new(),
                 written: 0,
             })
         };
@@ -2308,8 +2283,7 @@ impl DbInner {
         let mut boundary: Option<Vec<u8>> = None;
 
         {
-            let p = &core.partitions[pidx];
-            let mut iter = self.merged_partition_tables_iter(p)?;
+            let mut iter = MergingIterator::new(self.table_sources(&core.partitions[pidx], true)?);
             iter.seek_to_first()?;
             let mut last_user_key: Option<Vec<u8>> = None;
             let mut kept = 0u64;
@@ -2351,45 +2325,16 @@ impl DbInner {
                                 SeparatedValue::Pointer(ptr)
                             }
                         };
-                        if child.builder.is_none() {
-                            let number = split_file_start + split_files_used;
-                            split_files_used += 1;
-                            child.builder = Some(TableBuilder::new(
-                                self.env
-                                    .new_writable(&filenames::table_file(&child.dir, number))?,
-                                self.table_builder_opts(),
-                            ));
-                            child.tables.push(TableMeta {
-                                number,
-                                size: 0,
-                                smallest: Vec::new(),
-                                largest: Vec::new(),
-                            });
-                        }
-                        let b = child.builder.as_mut().expect("created above");
-                        b.add(&ikey, &slot.encode())?;
-                        if b.estimated_size() >= self.opts.table_size as u64 {
-                            let props = child.builder.take().expect("present").finish()?;
-                            child.written += props.file_size;
-                            let t = child.tables.last_mut().expect("pushed");
-                            t.size = props.file_size;
-                            t.smallest = props.smallest;
-                            t.largest = props.largest;
-                        }
+                        child.out.add(&ikey, &slot.encode(), || core.alloc_file())?;
                     }
                 }
                 iter.next()?;
             }
         }
         for child in [&mut left, &mut right] {
-            if let Some(b) = child.builder.take() {
-                let props = b.finish()?;
-                child.written += props.file_size;
-                let t = child.tables.last_mut().expect("pushed");
-                t.size = props.file_size;
-                t.smallest = props.smallest;
-                t.largest = props.largest;
-            }
+            let (tables, table_bytes) = child.out.finish()?;
+            child.tables = tables;
+            child.written += table_bytes;
             child.vlog.sync()?;
         }
         let boundary = boundary.expect("total >= 2 guarantees a right half");
@@ -2442,7 +2387,6 @@ impl DbInner {
 
         let parent = std::mem::replace(&mut core.partitions[pidx], left_p);
         core.partitions.insert(pidx + 1, right_p);
-        core.next_file = split_file_start + split_files_used;
 
         self.sync.hit("split:commit")?;
         self.commit_meta(core)?;
@@ -2484,449 +2428,207 @@ impl DbInner {
     // ---------------------------------------------------------------
 
     /// Execute one background job. Called from the worker loop; a job
-    /// whose trigger condition no longer holds is a no-op.
+    /// whose trigger condition no longer holds is a no-op. Flush, merge
+    /// and size-based merge run the same steps as inline mode but release
+    /// the core lock around their build; GC and split hold it throughout.
     pub(crate) fn run_job(&self, job: &Job) -> Result<()> {
-        match job.kind {
-            JobKind::Flush => self.run_flush_job(job.partition),
-            JobKind::ScanMerge => self.run_scan_merge_job(job.partition),
-            JobKind::Merge => self.run_merge_job(job.partition),
-            JobKind::Gc => self.run_gc_job(job.partition),
-            JobKind::Split => self.run_split_job(job.partition),
-        }
-    }
-
-    /// Background flush: drain the partition's sealed memtables oldest
-    /// first. The table is built with the core lock *released* — reads
-    /// and writes proceed against the still-visible sealed memtable —
-    /// and installed under a brief write lock.
-    fn run_flush_job(&self, pid: u32) -> Result<()> {
-        loop {
-            let (dir, table_number, sealed) = {
+        let (kind, pid) = (job.kind, job.partition);
+        let unlocked = || CoreLock::Released(&self.core);
+        match kind {
+            JobKind::Flush => {
+                while let Some(fin) = self.flush_sealed(unlocked(), pid)? {
+                    self.reschedule(pid, fin);
+                }
+            }
+            JobKind::ScanMerge => {
+                let cause = self.take_job_cause(kind, pid);
+                if let Some(fin) = self.scan_merge(unlocked(), pid, cause)? {
+                    self.reschedule(pid, fin);
+                }
+            }
+            JobKind::Merge => {
+                let cause = self.take_job_cause(kind, pid);
+                if let Some(fin) = self.merge(unlocked(), pid, cause)? {
+                    self.reschedule(pid, fin);
+                }
+            }
+            JobKind::Gc => {
                 let mut core = self.core.write();
                 let Some(pidx) = core.partition_index(pid) else {
                     return Ok(());
                 };
-                if core.partitions[pidx].imms.is_empty() {
+                if self.gc_due(&core.partitions[pidx]) {
+                    let cause = self.take_job_cause(kind, pid);
+                    self.gc_partition(&mut core, pidx, cause)?;
+                }
+            }
+            JobKind::Split => {
+                let mut core = self.core.write();
+                let Some(pidx) = core.partition_index(pid) else {
+                    return Ok(());
+                };
+                if !self.split_due(&core.partitions[pidx]) {
                     return Ok(());
                 }
-                let table_number = core.alloc_file();
-                (
-                    partition_dir(&self.root, pid),
-                    table_number,
-                    core.partitions[pidx].imms[0].clone(),
-                )
-            };
-            let t0 = self.metrics.registry.now_micros();
-            let scope = OpScope::begin(
-                &self.events,
-                EventKind::FlushStart,
-                EventKind::FlushAbort,
-                pid,
-                sealed.cause,
-                vec![sealed.wal_number],
-                0,
-            );
-            let (tmeta, keys) = self.build_flush_table(&dir, table_number, sealed.mem)?;
-            let bytes = tmeta.size;
-            let mut core = self.core.write();
-            let Some(pidx) = core.partition_index(pid) else {
-                return Ok(()); // partition vanished (split); scope aborts
-            };
-            self.install_flush(
-                &mut core,
-                pidx,
-                tmeta,
-                &keys,
-                sealed.wal_number,
-                Some(scope.start_seq),
-            )?;
-            let fin = scope.finish(EventKind::FlushFinish, vec![table_number], bytes, "");
+                let cause = self.take_job_cause(kind, pid);
+                let fin = self.split_partition(&mut core, pidx, cause)?;
+                // Both children may immediately warrant follow-up work.
+                self.schedule_triggers(&core, pidx, fin);
+                if pidx + 1 < core.partitions.len() {
+                    self.schedule_triggers(&core, pidx + 1, fin);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Enqueue whatever partition `pid`'s thresholds call for after a
+    /// worker's flush or merge finished with event `fin`.
+    fn reschedule(&self, pid: u32, fin: u64) {
+        let core = self.core.read();
+        if let Some(pidx) = core.partition_index(pid) {
             self.schedule_triggers(&core, pidx, Some(fin));
-            self.record_maint(TraceOp::Flush, t0, pid, bytes);
+        }
+    }
+}
+
+/// How a structural operation reaches the core state — the one place
+/// inline and background maintenance differ. Inline, the caller holds the
+/// write guard for the whole operation; on a worker, the operation takes
+/// the write lock for its snapshot and install steps (and briefly to
+/// allocate file numbers) and builds with the lock released.
+enum CoreLock<'a> {
+    Held(&'a mut DbCore),
+    Released(&'a RwLock<DbCore>),
+}
+
+impl CoreLock<'_> {
+    /// Run `f` on the core state under the write lock.
+    fn with<R>(&mut self, f: impl FnOnce(&mut DbCore) -> R) -> R {
+        match self {
+            CoreLock::Held(core) => f(core),
+            CoreLock::Released(lock) => f(&mut lock.write()),
+        }
+    }
+}
+
+/// A merge's inputs, snapshotted under the core lock: the consumed
+/// tables' metadata, iterator sources over their open handles, and the
+/// partition's value log.
+struct MergeInputs {
+    dir: PathBuf,
+    unsorted: Vec<TableMeta>,
+    /// Empty for a size-based merge, which leaves the SortedStore alone.
+    sorted: Vec<TableMeta>,
+    sources: Vec<Box<dyn InternalIterator>>,
+    vlog: Arc<parking_lot::Mutex<ValueLog>>,
+}
+
+impl MergeInputs {
+    fn numbers(&self) -> Vec<u64> {
+        self.unsorted
+            .iter()
+            .chain(&self.sorted)
+            .map(|t| t.number)
+            .collect()
+    }
+
+    fn bytes(&self) -> u64 {
+        self.unsorted
+            .iter()
+            .chain(&self.sorted)
+            .map(|t| t.size)
+            .sum()
+    }
+}
+
+/// Fail an install whose tier no longer holds exactly the tables its
+/// snapshot consumed. One job runs per partition and foreground
+/// structural operations quiesce the workers, so this cannot happen; the
+/// check keeps a broken invariant from committing a lossy swap.
+fn ensure_unchanged(op: &str, now: &[TableMeta], snapshot: &[TableMeta]) -> Result<()> {
+    if now
+        .iter()
+        .map(|t| t.number)
+        .eq(snapshot.iter().map(|t| t.number))
+    {
+        Ok(())
+    } else {
+        Err(Error::internal(format!(
+            "{op}: tables changed between snapshot and install"
+        )))
+    }
+}
+
+/// Rolling SortedStore writer for merge, GC and split: opens a table on
+/// the first entry, rolls over once a table reaches `table_size`, and
+/// fills each [`TableMeta`] from the finished table's properties. The
+/// caller supplies each table number as the table opens.
+struct SortedWriter<'a> {
+    db: &'a DbInner,
+    dir: PathBuf,
+    builder: Option<TableBuilder>,
+    tables: Vec<TableMeta>,
+    bytes: u64,
+}
+
+impl<'a> SortedWriter<'a> {
+    fn new(db: &'a DbInner, dir: PathBuf) -> Self {
+        SortedWriter {
+            db,
+            dir,
+            builder: None,
+            tables: Vec::new(),
+            bytes: 0,
         }
     }
 
-    /// Background full merge. Phase 1 snapshots the input tables and the
-    /// vlog handle under a read lock; phase 2 does the heavy merge with no
-    /// core lock held (value appends take the partition's vlog mutex
-    /// per-call, table numbers come from brief write locks); phase 3
-    /// installs and commits under the write lock. Only one job runs per
-    /// partition and foreground structural operations quiesce the
-    /// workers, so the snapshotted inputs cannot change underneath.
-    fn run_merge_job(&self, pid: u32) -> Result<()> {
-        // Phase 1: snapshot.
-        let (dir, consumed, sorted_metas, handles, sorted_handles, vlog) = {
-            let core = self.core.read();
-            let Some(pidx) = core.partition_index(pid) else {
-                return Ok(());
-            };
-            let p = &core.partitions[pidx];
-            if p.meta.unsorted.is_empty() && p.meta.sorted.is_empty() {
-                return Ok(());
+    fn add(&mut self, ikey: &[u8], value: &[u8], alloc: impl FnOnce() -> u64) -> Result<()> {
+        let builder = match &mut self.builder {
+            Some(b) => b,
+            None => {
+                let number = alloc();
+                let file = self
+                    .db
+                    .env
+                    .new_writable(&filenames::table_file(&self.dir, number))?;
+                self.tables.push(TableMeta {
+                    number,
+                    size: 0,
+                    smallest: Vec::new(),
+                    largest: Vec::new(),
+                });
+                self.builder
+                    .insert(TableBuilder::new(file, self.db.table_builder_opts()))
             }
-            let consumed = p.meta.unsorted.clone();
-            let sorted_metas = p.meta.sorted.clone();
-            let mut handles = Vec::with_capacity(consumed.len());
-            for t in &consumed {
-                handles.push(self.open_table(p, t.number)?);
-            }
-            let mut sorted_handles = Vec::with_capacity(sorted_metas.len());
-            for t in &sorted_metas {
-                sorted_handles.push((t.largest.clone(), self.open_table(p, t.number)?));
-            }
-            (
-                partition_dir(&self.root, pid),
-                consumed,
-                sorted_metas,
-                handles,
-                sorted_handles,
-                p.vlog.clone(),
-            )
         };
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("merge:begin")?;
-        let input_bytes = consumed.iter().map(|t| t.size).sum::<u64>()
-            + sorted_metas.iter().map(|t| t.size).sum::<u64>();
-        let input_tables: Vec<u64> = consumed
-            .iter()
-            .chain(sorted_metas.iter())
-            .map(|t| t.number)
-            .collect();
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::MergeStart,
-            EventKind::MergeAbort,
-            pid,
-            self.take_job_cause(JobKind::Merge, pid),
-            input_tables,
-            input_bytes,
-        );
-
-        // Phase 2: heavy merge, core lock released.
-        let mut children: Vec<Box<dyn InternalIterator>> = handles
-            .iter()
-            .map(|t| Box::new(TableSource::new(t)) as Box<dyn InternalIterator>)
-            .collect();
-        children.push(Box::new(ConcatSource::new(sorted_handles)));
-        let mut iter = MergingIterator::new(children);
-        iter.seek_to_first()?;
-
-        if self.opts.enable_kv_separation {
-            vlog.lock().rotate()?;
+        builder.add(ikey, value)?;
+        if builder.estimated_size() >= self.db.opts.table_size as u64 {
+            self.finish_table()?;
         }
-        let mut new_tables: Vec<TableMeta> = Vec::new();
-        let mut builder: Option<TableBuilder> = None;
-        let mut written = 0u64;
-        let mut live_value_bytes = 0u64;
-        let mut last_user_key: Option<Vec<u8>> = None;
-        while iter.valid() {
-            let ikey = iter.ikey().to_vec();
-            let user_key = extract_user_key(&ikey);
-            let (_, vt) = extract_seq_type(&ikey)?;
-            let is_newest = last_user_key.as_deref() != Some(user_key);
-            if is_newest {
-                last_user_key = Some(user_key.to_vec());
-                if vt == ValueType::Value {
-                    let slot = match SeparatedValue::decode(iter.value())? {
-                        SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                            let ptr = vlog.lock().append(&v)?;
-                            written += v.len() as u64;
-                            live_value_bytes += ptr.length as u64;
-                            SeparatedValue::Pointer(ptr)
-                        }
-                        inline @ SeparatedValue::Inline(_) => inline,
-                        SeparatedValue::Pointer(ptr) => {
-                            live_value_bytes += ptr.length as u64;
-                            SeparatedValue::Pointer(ptr)
-                        }
-                    };
-                    if builder.is_none() {
-                        let number = self.core.write().alloc_file();
-                        builder = Some(TableBuilder::new(
-                            self.env
-                                .new_writable(&filenames::table_file(&dir, number))?,
-                            self.table_builder_opts(),
-                        ));
-                        new_tables.push(TableMeta {
-                            number,
-                            size: 0,
-                            smallest: Vec::new(),
-                            largest: Vec::new(),
-                        });
-                    }
-                    let b = builder.as_mut().expect("created above");
-                    b.add(&ikey, &slot.encode())?;
-                    if b.estimated_size() >= self.opts.table_size as u64 {
-                        let props = builder.take().expect("present").finish()?;
-                        written += props.file_size;
-                        let t = new_tables.last_mut().expect("pushed");
-                        t.size = props.file_size;
-                        t.smallest = props.smallest;
-                        t.largest = props.largest;
-                    }
-                }
-            }
-            iter.next()?;
-        }
-        if let Some(b) = builder.take() {
+        Ok(())
+    }
+
+    fn finish_table(&mut self) -> Result<()> {
+        if let Some(b) = self.builder.take() {
             let props = b.finish()?;
-            written += props.file_size;
-            let t = new_tables.last_mut().expect("pushed");
+            self.bytes += props.file_size;
+            let t = self
+                .tables
+                .last_mut()
+                .expect("pushed when the builder opened");
             t.size = props.file_size;
             t.smallest = props.smallest;
             t.largest = props.largest;
         }
-        vlog.lock().sync()?;
-        self.sync.hit("merge:build")?;
-
-        // Phase 3: install.
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
-            return Ok(());
-        };
-        UniKvStats::add(&self.stats.merge_bytes_read, input_bytes);
-        UniKvStats::add(&self.stats.merge_bytes_written, written);
-        UniKvStats::add(&self.stats.merges, 1);
-
-        let consumed_ids: HashSet<u64> = consumed.iter().map(|t| t.number).collect();
-        let p = &mut core.partitions[pidx];
-        let mut old_tables: Vec<TableMeta> = Vec::new();
-        p.meta.unsorted.retain(|t| {
-            if consumed_ids.contains(&t.number) {
-                old_tables.push(t.clone());
-                false
-            } else {
-                true
-            }
-        });
-        old_tables.append(&mut p.meta.sorted);
-        p.meta.sorted = new_tables;
-        p.meta.own_logs = vlog.lock().log_numbers();
-        p.meta.live_value_bytes = live_value_bytes;
-        if p.meta.unsorted.is_empty() {
-            p.index.clear();
-        } else {
-            // Defensive: tables flushed after the snapshot keep their
-            // index entries.
-            let stale: HashSet<u32> = consumed_ids.iter().map(|&n| n as u32).collect();
-            p.index.remove_tables(&stale);
-        }
-        p.meta.ckpt_tables.retain(|n| !consumed_ids.contains(n));
-        p.flushes_since_ckpt = 0;
-        if self.opts.enable_hash_index {
-            let covered: Vec<u64> = p.meta.unsorted.iter().map(|t| t.number).collect();
-            self.env.write_atomic(
-                &dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&covered, &p.index),
-            )?;
-            p.meta.ckpt_tables = covered;
-        }
-
-        self.sync.hit("merge:commit")?;
-        self.commit_meta(&core)?;
-        let output_tables: Vec<u64> = core.partitions[pidx]
-            .meta
-            .sorted
-            .iter()
-            .map(|t| t.number)
-            .collect();
-        let fin = scope.finish(EventKind::MergeFinish, output_tables, written, "");
-        self.sync.hit("merge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
-        self.maint.notify_progress();
-        self.schedule_triggers(&core, pidx, Some(fin));
-        self.record_maint(TraceOp::Merge, t0, pid, written);
         Ok(())
     }
 
-    /// Background size-based merge (scan optimization): collapse the
-    /// snapshotted UnsortedStore tables into one, with the heavy merge
-    /// running off-lock like [`Self::run_merge_job`].
-    fn run_scan_merge_job(&self, pid: u32) -> Result<()> {
-        // Phase 1: snapshot.
-        let (dir, table_number, consumed, handles) = {
-            let mut core = self.core.write();
-            let Some(pidx) = core.partition_index(pid) else {
-                return Ok(());
-            };
-            if core.partitions[pidx].meta.unsorted.len() < 2 {
-                return Ok(());
-            }
-            let table_number = core.alloc_file();
-            let p = &core.partitions[pidx];
-            let consumed = p.meta.unsorted.clone();
-            let mut handles = Vec::with_capacity(consumed.len());
-            for t in &consumed {
-                handles.push(self.open_table(p, t.number)?);
-            }
-            (
-                partition_dir(&self.root, pid),
-                table_number,
-                consumed,
-                handles,
-            )
-        };
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("scanmerge:begin")?;
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::ScanMergeStart,
-            EventKind::ScanMergeAbort,
-            pid,
-            self.take_job_cause(JobKind::ScanMerge, pid),
-            consumed.iter().map(|t| t.number).collect(),
-            consumed.iter().map(|t| t.size).sum(),
-        );
-
-        // Phase 2: merge into one table, collecting kept keys.
-        let children: Vec<Box<dyn InternalIterator>> = handles
-            .iter()
-            .map(|t| Box::new(TableSource::new(t)) as Box<dyn InternalIterator>)
-            .collect();
-        let mut iter = MergingIterator::new(children);
-        iter.seek_to_first()?;
-        let mut builder = TableBuilder::new(
-            self.env
-                .new_writable(&filenames::table_file(&dir, table_number))?,
-            self.table_builder_opts(),
-        );
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut last_user_key: Option<Vec<u8>> = None;
-        while iter.valid() {
-            let user_key = extract_user_key(iter.ikey());
-            if last_user_key.as_deref() != Some(user_key) {
-                last_user_key = Some(user_key.to_vec());
-                // Tombstones stay: the SortedStore below still holds older
-                // versions they must shadow.
-                builder.add(iter.ikey(), iter.value())?;
-                if self.opts.enable_hash_index {
-                    keys.push(user_key.to_vec());
-                }
-            }
-            iter.next()?;
-        }
-        let props = builder.finish()?;
-        self.sync.hit("scanmerge:build")?;
-        let tmeta = TableMeta {
-            number: table_number,
-            size: props.file_size,
-            smallest: props.smallest,
-            largest: props.largest,
-        };
-
-        // Phase 3: install.
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
-            return Ok(());
-        };
-        UniKvStats::add(&self.stats.merge_bytes_written, tmeta.size);
-        UniKvStats::add(&self.stats.scan_merges, 1);
-        let consumed_ids: HashSet<u64> = consumed.iter().map(|t| t.number).collect();
-        let p = &mut core.partitions[pidx];
-        let mut old_tables: Vec<TableMeta> = Vec::new();
-        p.meta.unsorted.retain(|t| {
-            if consumed_ids.contains(&t.number) {
-                old_tables.push(t.clone());
-                false
-            } else {
-                true
-            }
-        });
-        // The merged table is older than anything flushed after the
-        // snapshot, so it goes to the front of the flush-ordered tier.
-        p.meta.unsorted.insert(0, tmeta);
-        if self.opts.enable_hash_index {
-            let stale: HashSet<u32> = consumed_ids.iter().map(|&n| n as u32).collect();
-            p.index.remove_tables(&stale);
-            for key in &keys {
-                p.index.insert(key, table_number as u32);
-            }
-            let covered: Vec<u64> = p.meta.unsorted.iter().map(|t| t.number).collect();
-            self.env.write_atomic(
-                &dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&covered, &p.index),
-            )?;
-            p.meta.ckpt_tables = covered;
-            p.flushes_since_ckpt = 0;
-        }
-
-        self.sync.hit("scanmerge:commit")?;
-        self.commit_meta(&core)?;
-        let fin = scope.finish(
-            EventKind::ScanMergeFinish,
-            vec![table_number],
-            props.file_size,
-            "",
-        );
-        self.sync.hit("scanmerge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
-        self.maint.notify_progress();
-        self.schedule_triggers(&core, pidx, Some(fin));
-        self.record_maint(TraceOp::ScanMerge, t0, pid, props.file_size);
-        Ok(())
-    }
-
-    /// Background GC: re-checks the garbage ratio, then runs the inline
-    /// GC under the write lock (GC rewrites the SortedStore in place, so
-    /// it does not overlap foreground work).
-    fn run_gc_job(&self, pid: u32) -> Result<()> {
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
-            return Ok(());
-        };
-        if self.gc_due(&core.partitions[pidx]) {
-            let cause = self.take_job_cause(JobKind::Gc, pid);
-            self.gc_partition(&mut core, pidx, cause)?;
-        }
-        Ok(())
-    }
-
-    /// Background split: re-checks the size trigger, then runs the inline
-    /// median split under the write lock.
-    fn run_split_job(&self, pid: u32) -> Result<()> {
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
-            return Ok(());
-        };
-        if !self.opts.enable_partitioning
-            || core.partitions[pidx].logical_size() <= self.opts.partition_size_limit
-        {
-            return Ok(());
-        }
-        let cause = self.take_job_cause(JobKind::Split, pid);
-        let fin = self.split_partition(&mut core, pidx, cause)?;
-        // Both children may immediately warrant follow-up work.
-        self.schedule_triggers(&core, pidx, fin);
-        if pidx + 1 < core.partitions.len() {
-            self.schedule_triggers(&core, pidx + 1, fin);
-        }
-        Ok(())
-    }
-
-    /// Merging iterator over a partition's tables only (no memtable) —
-    /// split passes run after an explicit flush.
-    fn merged_partition_tables_iter(&self, p: &Partition) -> Result<MergingIterator> {
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for tmeta in &p.meta.unsorted {
-            let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
-        }
-        let mut run = Vec::with_capacity(p.meta.sorted.len());
-        for tmeta in &p.meta.sorted {
-            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
-        }
-        children.push(Box::new(ConcatSource::new(run)));
-        Ok(MergingIterator::new(children))
+    /// Finish the open table; returns every table written and their total
+    /// bytes.
+    fn finish(&mut self) -> Result<(Vec<TableMeta>, u64)> {
+        self.finish_table()?;
+        Ok((std::mem::take(&mut self.tables), self.bytes))
     }
 }
 

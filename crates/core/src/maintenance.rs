@@ -78,15 +78,16 @@ use unikv_common::rng::splitmix64_mix;
 use unikv_common::{Clock, ClockFn, Error, Result};
 
 /// Every named sync point in the flush/merge/GC/split commit sequences,
-/// in rough execution order. Each structural operation calls
-/// [`SyncPoints::hit`] between its commit steps; a hook that returns an
-/// error there aborts the operation exactly as an I/O failure at that
-/// step would, so a crash test can stop the world between any two steps
-/// and exercise recovery. `*:begin` fires before any file is written,
-/// `*:build` after new files are written and synced but before the
-/// in-memory tier swap, `*:commit` immediately before the atomic META
-/// commit, and `*:cleanup` after the commit but before obsolete files are
-/// deleted. The same names fire in inline and background modes.
+/// in rough execution order. Each structural operation hits its points
+/// in the [`SyncPoints`] registry between its commit steps; a hook that
+/// returns an error there aborts the operation exactly as an I/O failure
+/// at that step would, so a crash test can stop the world between any
+/// two steps and exercise recovery. `*:begin` fires before any file is
+/// written, `*:build` after new files are written and synced but before
+/// the in-memory tier swap, `*:commit` immediately before the atomic
+/// META commit, and `*:cleanup` after the commit but before obsolete
+/// files are deleted. Each name has one call site, which inline and
+/// background modes share.
 pub const SYNC_POINTS: &[&str] = &[
     "seal:begin",
     "seal:commit",

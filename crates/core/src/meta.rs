@@ -33,7 +33,7 @@ pub struct TableMeta {
 
 /// A reference to a value log owned by (possibly) another partition —
 /// the lazy-split sharing mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogRef {
     /// Owning partition id (directory the file lives in).
     pub partition: u32,

@@ -124,7 +124,7 @@ pub struct UniKvOptions {
     /// SortedStore grows without bound.
     pub enable_partitioning: bool,
     /// E10: disable scan optimizations (size-based merge, parallel value
-    /// fetch, readahead).
+    /// fetch, coalesced value-log reads).
     pub enable_scan_optimization: bool,
 }
 

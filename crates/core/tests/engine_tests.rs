@@ -2,11 +2,14 @@
 //! merges, GC, splits, scans, ablations, and recovery.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use unikv::meta::DbMeta;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::fault::FaultInjectionEnv;
 use unikv_env::mem::MemEnv;
+use unikv_env::Env;
 
 fn open(env: Arc<MemEnv>, opts: UniKvOptions) -> UniKv {
     UniKv::open(env, "/db", opts).unwrap()
@@ -520,4 +523,108 @@ fn sequential_load_then_backward_probe() {
     for i in (0..2000).rev().step_by(37) {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i, 64)));
     }
+}
+
+/// A fixed seeded put/delete workload on `small_for_tests()`, sized so
+/// flush, size-based merge, merge, GC and split all fire and some split
+/// children still share their parent's value logs at the end.
+fn seeded_structural_workload(env: Arc<MemEnv>) {
+    let db = open(env, UniKvOptions::small_for_tests());
+    let mut rng: u64 = 0x2545_f491_4f6c_dd1d;
+    let mut next = |m: u64| {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (rng >> 33) % m
+    };
+    for _ in 0..8000 {
+        let k = key(next(6000) as u32);
+        if next(10) == 0 {
+            db.delete(&k).unwrap();
+        } else {
+            let v = value(next(1000) as u32, 32 + next(96) as usize);
+            db.put(&k, &v).unwrap();
+        }
+    }
+    let s = db.stats();
+    for (name, c) in [
+        ("flushes", &s.flushes),
+        ("scan_merges", &s.scan_merges),
+        ("merges", &s.merges),
+        ("gcs", &s.gcs),
+        ("splits", &s.splits),
+    ] {
+        assert!(c.load(Ordering::Relaxed) > 0, "no {name}");
+    }
+}
+
+fn read_meta(env: &MemEnv) -> (Vec<u8>, DbMeta) {
+    let bytes = env.read_to_vec(Path::new("/db/META")).unwrap();
+    let meta = DbMeta::decode(&bytes).unwrap();
+    (bytes, meta)
+}
+
+#[test]
+fn meta_after_split_is_deterministic() {
+    // Split children list their inherited logs in a fixed order, so two
+    // identical runs commit byte-identical META snapshots.
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
+            let env = MemEnv::shared();
+            seeded_structural_workload(env.clone());
+            read_meta(&env)
+        })
+        .collect();
+    assert!(
+        runs[0]
+            .1
+            .partitions
+            .iter()
+            .any(|p| p.inherited_logs.len() >= 2),
+        "workload must end with a partition sharing several parent logs"
+    );
+    assert!(
+        runs[0].0 == runs[1].0,
+        "META bytes differ between identical runs"
+    );
+}
+
+#[test]
+fn inline_layout_is_unchanged() {
+    // Digest of every file the seeded workload leaves under `/db`. Any
+    // change to inline file numbering, file contents or META shows up
+    // here; the constants must not be re-recorded to make a refactor pass.
+    const FILES: usize = 71;
+    const DIGEST: u64 = 0xcc9e_4fc9_1030_4e8a;
+    let env = MemEnv::shared();
+    seeded_structural_workload(env.clone());
+    let (_, meta) = read_meta(&env);
+    assert!(meta.partitions.iter().any(|p| !p.inherited_logs.is_empty()));
+    let root = Path::new("/db");
+    let mut paths: Vec<PathBuf> = env
+        .list_dir(root)
+        .unwrap()
+        .into_iter()
+        .map(|n| root.join(n))
+        .collect();
+    for id in 0..meta.next_partition {
+        let dir = root.join(format!("p{id}"));
+        paths.extend(env.list_dir(&dir).unwrap().into_iter().map(|n| dir.join(n)));
+    }
+    paths.sort();
+    // FNV-1a over each path and its length-prefixed contents.
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |bytes: &[u8]| {
+        for b in bytes {
+            digest = (digest ^ *b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for path in &paths {
+        let data = env.read_to_vec(path).unwrap();
+        fold(path.to_str().unwrap().as_bytes());
+        fold(&(data.len() as u64).to_le_bytes());
+        fold(&data);
+    }
+    assert_eq!(paths.len(), FILES, "file count changed");
+    assert_eq!(digest, DIGEST, "inline on-disk layout changed");
 }

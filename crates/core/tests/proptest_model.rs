@@ -1,6 +1,7 @@
 //! Property-based model checking: arbitrary operation sequences applied
 //! to UniKV must match a `BTreeMap` reference model, across every
-//! combination of ablation switches, including after a reopen.
+//! combination of ablation switches, inline or with background workers,
+//! including after a reopen.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -76,6 +77,9 @@ fn check(ops: &[ModelOp], opts: UniKvOptions) {
     }
     // Stats counters must never regress: snapshot here, compare after the
     // read-only audit below (which may trigger no maintenance at all).
+    // Background workers drain first, so none is still running during the
+    // audit or outlives the handle at the reopen.
+    db.wait_for_background();
     let stats_before: BTreeMap<&str, u64> = db.stats().snapshot().into_iter().collect();
 
     // Final audit: every key agrees, reads and scans.
@@ -171,6 +175,20 @@ proptest! {
         opts.enable_kv_separation = !no_sep;
         opts.enable_partitioning = !no_part;
         opts.enable_scan_optimization = !no_scan_opt;
+        check(&ops, opts);
+    }
+
+    // The worker path: sealed memtables, and flushes and merges built with
+    // the core lock released, checked against the same model. An
+    // UnsortedStore limit of one memtable makes worker flushes schedule
+    // full merges, not only size-based ones.
+    #[test]
+    fn prop_engine_matches_model_with_background_workers(
+        ops in proptest::collection::vec(op_strategy(), 1..250),
+    ) {
+        let mut opts = tiny_opts();
+        opts.background_jobs = 2;
+        opts.unsorted_limit_bytes = opts.write_buffer_size as u64;
         check(&ops, opts);
     }
 }
