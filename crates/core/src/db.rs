@@ -1940,8 +1940,7 @@ impl DbInner {
                 .new_writable(&filenames::table_file(&inputs.dir, table_number))?,
             self.table_builder_opts(),
         );
-        let mut new_index =
-            TwoLevelHashIndex::with_capacity(index_capacity(&self.opts), self.opts.num_hashes);
+        let mut keys: Vec<Vec<u8>> = Vec::new();
         let mut last_user_key: Option<Vec<u8>> = None;
         while iter.valid() {
             let user_key = extract_user_key(iter.ikey());
@@ -1951,7 +1950,7 @@ impl DbInner {
                 // versions they must shadow.
                 builder.add(iter.ikey(), iter.value())?;
                 if self.opts.enable_hash_index {
-                    new_index.insert(user_key, table_number as u32);
+                    keys.push(user_key.to_vec());
                 }
             }
             iter.next()?;
@@ -1978,8 +1977,13 @@ impl DbInner {
                     largest: props.largest,
                 }],
             );
-            p.index = new_index;
+            // Re-index in place: the index keeps its allocation, so a
+            // size-based merge never holds two full-size indexes at once.
+            p.index.clear();
             if self.opts.enable_hash_index {
+                for key in &keys {
+                    p.index.insert(key, table_number as u32);
+                }
                 self.env.write_atomic(
                     &inputs.dir.join(INDEX_CKPT),
                     &encode_index_ckpt(&[table_number], &p.index),
