@@ -30,7 +30,6 @@
 //! crash that never got committed are orphans removed during recovery.
 
 use crate::batch::{decode_batch_record, encode_batch_record, WriteBatch};
-use crate::fetch::FetchPool;
 use crate::journal::EventJournal;
 use crate::maintenance::{
     stall_level, worker_loop, HealthReport, HealthState, Job, JobKind, MaintState, RetryConfig,
@@ -319,7 +318,6 @@ pub struct DbInner {
     topts: TableOptions,
     core: RwLock<DbCore>,
     resolver: Arc<ValueResolver>,
-    fetch_pool: FetchPool,
     pub(crate) stats: Arc<UniKvStats>,
     pub(crate) metrics: DbMetrics,
     pub(crate) maint: MaintState,
@@ -440,8 +438,6 @@ impl DbInner {
 
         let db = DbInner {
             resolver: Arc::new(ValueResolver::new(env.clone(), root.clone())),
-            fetch_pool: FetchPool::new(opts.value_fetch_threads)
-                .with_metrics(metrics.fetch.clone()),
             env,
             root,
             maint: MaintState::new(
@@ -1330,9 +1326,8 @@ impl DbInner {
         // here would let a concurrent GC delete the log files the
         // collected pointers reference.
 
-        // Resolve value slots. With the scan optimization, adjacent records
-        // share one read and large batches fan out across the fetch pool;
-        // without it, one read per value on this thread.
+        // Resolve value slots on this thread. With the scan optimization,
+        // adjacent records share one read; without it, one read per value.
         let mut out_values: Vec<Option<Vec<u8>>> = vec![None; slots.len()];
         let mut jobs = Vec::new();
         for (i, slot) in slots.iter().enumerate() {
@@ -1341,9 +1336,11 @@ impl DbInner {
                 SeparatedValue::Pointer(ptr) => jobs.push((i, ptr)),
             }
         }
+        if !jobs.is_empty() {
+            self.metrics.scan_value_batches.inc();
+        }
         self.metrics.scan_vlog_fetches.add(jobs.len() as u64);
-        let reads = self.fetch_pool.fetch(
-            &self.resolver,
+        let reads = self.resolver.fetch(
             &mut jobs,
             &mut out_values,
             self.opts.enable_scan_optimization,

@@ -37,7 +37,6 @@
 
 pub mod batch;
 pub mod db;
-pub mod fetch;
 pub mod iter;
 pub mod journal;
 pub mod maintenance;
@@ -50,7 +49,6 @@ pub mod verify;
 
 pub use batch::WriteBatch;
 pub use db::{DbInner, UniKv, UniKvStats};
-pub use fetch::{FetchMetrics, FetchPool};
 pub use iter::UniKvIterator;
 pub use journal::{read_events, EventJournal, EVENTS_FILE, EVENTS_OLD_FILE};
 pub use maintenance::{

@@ -5,7 +5,6 @@
 //! across partitions"; [`MetricsSnapshot::merge`] remains available for
 //! folding multiple databases (or engines) into one report.
 
-use crate::fetch::FetchMetrics;
 use crate::options::UniKvOptions;
 use std::sync::Arc;
 use unikv_common::metrics::{
@@ -33,8 +32,10 @@ pub struct DbMetrics {
     /// Positional value-log reads scans issued for those values (one per
     /// run of adjacent records with the scan optimization on).
     pub scan_vlog_reads: Counter,
-    /// Scan fetch-pool dispatch counters (parallel vs inline batches).
-    pub fetch: FetchMetrics,
+    /// Scans that read at least one value from a value log; each resolves
+    /// its values as one batch on the scanning thread. Registered as
+    /// `fetch_inline_batches`, the name the benchmark reads.
+    pub(crate) scan_value_batches: Counter,
     /// Batch-write latency (one sample per `write_batch` call; the ops
     /// inside a batch count into `writes`/`batch_ops`, not `put_latency`).
     pub batch_latency: Histogram,
@@ -62,7 +63,7 @@ impl DbMetrics {
             table_io: TableIoMetrics::new(&registry),
             scan_vlog_fetches: registry.counter("scan_vlog_fetches"),
             scan_vlog_reads: registry.counter("scan_vlog_reads"),
-            fetch: FetchMetrics::new(&registry),
+            scan_value_batches: registry.counter("fetch_inline_batches"),
             batch_latency: registry.histogram("batch_latency_us"),
             batch_ops: registry.counter("batch_ops"),
             maint_queue_depth: registry.gauge("maint_queue_depth"),

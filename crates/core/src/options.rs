@@ -34,8 +34,6 @@ pub struct UniKvOptions {
     /// Checkpoint the hash index every this many flushes (paper:
     /// `unsorted_limit / 2` flushes).
     pub index_checkpoint_interval: u32,
-    /// Threads used to fetch values in parallel during scans (paper: 32).
-    pub value_fetch_threads: usize,
     /// Block-cache capacity in bytes (0 disables).
     pub block_cache_bytes: usize,
     /// fsync the WAL on every write.
@@ -123,8 +121,8 @@ pub struct UniKvOptions {
     /// E9: disable dynamic range partitioning; the single partition's
     /// SortedStore grows without bound.
     pub enable_partitioning: bool,
-    /// E10: disable scan optimizations (size-based merge, parallel value
-    /// fetch, coalesced value-log reads).
+    /// E10: disable scan optimizations (size-based merge, coalesced
+    /// value-log reads).
     pub enable_scan_optimization: bool,
 }
 
@@ -143,7 +141,6 @@ impl Default for UniKvOptions {
             gc_min_bytes: 4 << 20,
             num_hashes: 2,
             index_checkpoint_interval: 4,
-            value_fetch_threads: 32,
             block_cache_bytes: 8 << 20,
             sync_writes: false,
             paranoid_checks: false,
@@ -186,7 +183,6 @@ impl UniKvOptions {
             max_log_size: 16 << 10,
             gc_min_bytes: 16 << 10,
             index_checkpoint_interval: 2,
-            value_fetch_threads: 4,
             block_cache_bytes: 256 << 10,
             maint_retry_base_ms: 2,
             maint_retry_max_ms: 40,
@@ -210,11 +206,6 @@ impl UniKvOptions {
         if self.num_hashes == 0 || self.num_hashes > unikv_common::hash::FAMILY.len() {
             return Err(unikv_common::Error::invalid_argument(
                 "num_hashes out of range",
-            ));
-        }
-        if self.value_fetch_threads == 0 {
-            return Err(unikv_common::Error::invalid_argument(
-                "value_fetch_threads must be positive",
             ));
         }
         if !(0.0..=1.0).contains(&self.gc_garbage_ratio) {
@@ -269,10 +260,6 @@ mod tests {
             },
             UniKvOptions {
                 num_hashes: 9,
-                ..Default::default()
-            },
-            UniKvOptions {
-                value_fetch_threads: 0,
                 ..Default::default()
             },
             UniKvOptions {

@@ -3,8 +3,10 @@
 //! After a split, a child partition's SortedStore still holds pointers into
 //! the parent's value logs (lazy split); the pointer's `partition` field
 //! names the directory. The resolver maps any pointer to bytes, caching
-//! open file handles. Scans read through `ValueResolver::read_batch`,
-//! which turns each run of adjacent records into one positional read.
+//! open file handles. Scans resolve their values through
+//! `ValueResolver::fetch` on the calling thread, which sorts them by
+//! location and turns each run of adjacent records into one positional
+//! read.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -28,7 +30,7 @@ pub fn partition_dir(root: &Path, id: u32) -> PathBuf {
 /// Order `jobs` by where their records sit, `(partition, log, offset)`,
 /// so records that are adjacent in a log become neighbours for
 /// [`ValueResolver::read_batch`].
-pub(crate) fn sort_by_location(jobs: &mut [(usize, ValuePointer)]) {
+fn sort_by_location(jobs: &mut [(usize, ValuePointer)]) {
     jobs.sort_unstable_by_key(|(_, p)| (p.partition, p.log_number, p.offset));
 }
 
@@ -51,7 +53,7 @@ impl ValueResolver {
 
     fn reader(&self, partition: u32, log: u64) -> Result<Arc<dyn RandomAccessFile>> {
         let key = (partition, log);
-        // Fast path: shared lock — parallel fetch workers hit this once
+        // Fast path: shared lock — concurrent scans and gets hit this once
         // per read, so it must not serialize them.
         if let Some(r) = self.readers.read().get(&key) {
             return Ok(r.clone());
@@ -68,6 +70,29 @@ impl ValueResolver {
         read_value_record(reader.as_ref(), ptr.offset, ptr.length)
     }
 
+    /// Resolve every pointer in `jobs` into `out[idx]` on the calling
+    /// thread and return the number of positional reads issued.
+    ///
+    /// With `optimize` (the scan optimization) the jobs are sorted by
+    /// location first, so each run of adjacent records costs one
+    /// [`Self::read_batch`] read. Without it (ablation E10) every value is
+    /// one [`Self::read`], in the caller's order.
+    pub(crate) fn fetch(
+        &self,
+        jobs: &mut [(usize, ValuePointer)],
+        out: &mut [Option<Vec<u8>>],
+        optimize: bool,
+    ) -> Result<u64> {
+        if !optimize {
+            for (idx, ptr) in jobs.iter() {
+                out[*idx] = Some(self.read(ptr)?);
+            }
+            return Ok(jobs.len() as u64);
+        }
+        sort_by_location(jobs);
+        self.read_batch(jobs, |idx, v| out[idx] = Some(v))
+    }
+
     /// Read the value behind every pointer in `jobs` and hand it to `emit`
     /// with its index. Consecutive jobs whose records are back to back in
     /// one log (each starts where the previous one ends) share a single
@@ -75,7 +100,7 @@ impl ValueResolver {
     /// with [`sort_by_location`] first; any order is still correct. Every
     /// value gets the same length and CRC checks as [`Self::read`].
     /// Returns the number of reads issued.
-    pub(crate) fn read_batch(
+    fn read_batch(
         &self,
         jobs: &[(usize, ValuePointer)],
         mut emit: impl FnMut(usize, Vec<u8>),
@@ -340,6 +365,67 @@ mod tests {
             let err = read_all(&resolver, &ptrs).unwrap_err();
             assert!(err.is_corruption(), "cut at {cut}: got {err}");
         }
+    }
+
+    fn setup(n: usize) -> (ValueResolver, Vec<(usize, ValuePointer)>, Vec<Vec<u8>>) {
+        let env = MemEnv::shared();
+        let root = PathBuf::from("/db");
+        let mut vl = ValueLog::open(env.clone(), partition_dir(&root, 0), 0, 8 << 10).unwrap();
+        let mut jobs = Vec::new();
+        let mut expect = Vec::new();
+        for i in 0..n {
+            let v = format!("value-{i}").repeat(i % 5 + 1).into_bytes();
+            let ptr = vl.append(&v).unwrap();
+            jobs.push((i, ptr));
+            expect.push(v);
+        }
+        vl.sync().unwrap();
+        (ValueResolver::new(env, root), jobs, expect)
+    }
+
+    #[test]
+    fn optimized_and_plain_fetch_agree() {
+        let (resolver, jobs, expect) = setup(500);
+        let logs = jobs
+            .iter()
+            .map(|(_, p)| p.log_number)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
+        for optimize in [false, true] {
+            let mut shuffled = jobs.clone();
+            let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.usize_in_incl(0..=i));
+            }
+            let mut out = vec![None; jobs.len()];
+            let reads = resolver.fetch(&mut shuffled, &mut out, optimize).unwrap();
+            if optimize {
+                // Back-to-back records: one read per log.
+                assert_eq!(reads, logs);
+            } else {
+                assert_eq!(reads, jobs.len() as u64);
+            }
+            for (i, e) in expect.iter().enumerate() {
+                assert_eq!(out[i].as_ref(), Some(e), "optimize={optimize} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_jobs_ok() {
+        let (resolver, _, _) = setup(1);
+        let mut out: Vec<Option<Vec<u8>>> = Vec::new();
+        for optimize in [false, true] {
+            assert_eq!(resolver.fetch(&mut [], &mut out, optimize).unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn bad_pointer_propagates_error() {
+        let (resolver, mut jobs, _) = setup(300);
+        jobs[150].1.offset = 1 << 40;
+        let mut out = vec![None; jobs.len()];
+        assert!(resolver.fetch(&mut jobs, &mut out, true).is_err());
     }
 
     #[test]

@@ -150,7 +150,7 @@ fn partial_kv_separation_stores_pointers() {
     for i in (0..400).step_by(37) {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i, 128)));
     }
-    // Scans resolve pointers (parallel fetch path).
+    // Scans resolve pointers from the value logs.
     let items = db.scan(&key(0), 50).unwrap();
     assert_eq!(items.len(), 50);
     for (j, item) in items.iter().enumerate() {
@@ -163,29 +163,37 @@ fn partial_kv_separation_stores_pointers() {
 fn scan_coalesces_adjacent_value_reads() {
     // A merge appends values in key order, so a scan over merged keys
     // finds their records back to back and reads each run at once. With
-    // the scan optimization off every value is its own read.
-    for optimize in [true, false] {
-        let mut opts = UniKvOptions::small_for_tests();
-        opts.enable_scan_optimization = optimize;
-        let db = open(MemEnv::shared(), opts);
-        for i in 0..400u32 {
-            db.put(&key(i), &value(i, 128)).unwrap();
-        }
-        db.compact_all().unwrap();
-        db.reset_metrics();
-        let items = db.scan(&key(100), 32).unwrap();
-        assert_eq!(items.len(), 32);
-        for (j, item) in items.iter().enumerate() {
-            let i = 100 + j as u32;
-            assert_eq!((&item.key, &item.value), (&key(i), &value(i, 128)));
-        }
-        let counters = db.metrics_snapshot().counters;
-        let (fetches, reads) = (counters["scan_vlog_fetches"], counters["scan_vlog_reads"]);
-        assert_eq!(fetches, 32, "every merged value lives in a log");
-        if optimize {
-            assert!(reads < fetches, "reads {reads} vs fetches {fetches}");
-        } else {
-            assert_eq!(reads, fetches);
+    // the scan optimization off every value is its own read. Both a short
+    // scan and a long one (hundreds of values) resolve on the scanning
+    // thread through the same path.
+    for len in [32usize, 300] {
+        for optimize in [true, false] {
+            let mut opts = UniKvOptions::small_for_tests();
+            opts.enable_scan_optimization = optimize;
+            let db = open(MemEnv::shared(), opts);
+            for i in 0..1000u32 {
+                db.put(&key(i), &value(i, 128)).unwrap();
+            }
+            db.compact_all().unwrap();
+            db.reset_metrics();
+            let items = db.scan(&key(100), len).unwrap();
+            assert_eq!(items.len(), len);
+            for (j, item) in items.iter().enumerate() {
+                let i = 100 + j as u32;
+                assert_eq!((&item.key, &item.value), (&key(i), &value(i, 128)));
+            }
+            let counters = db.metrics_snapshot().counters;
+            let (fetches, reads) = (counters["scan_vlog_fetches"], counters["scan_vlog_reads"]);
+            assert_eq!(fetches, len as u64, "every merged value lives in a log");
+            assert_eq!(counters["fetch_inline_batches"], 1, "one batch per scan");
+            if optimize {
+                assert!(
+                    reads < fetches,
+                    "len {len}: reads {reads} vs fetches {fetches}"
+                );
+            } else {
+                assert_eq!(reads, fetches, "len {len}");
+            }
         }
     }
 }
